@@ -1,8 +1,12 @@
 #include "bench/bench_common.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "oipa/adoption.h"
 #include "util/logging.h"
 #include "util/random.h"
+#include "util/stats.h"
 #include "util/timer.h"
 
 namespace oipa {
@@ -131,6 +135,32 @@ std::vector<std::string> RequestedDatasets(const FlagParser& flags) {
     start = comma + 1;
   }
   return out;
+}
+
+LegStats MeasureLeg(const std::function<std::pair<double, double>()>& run,
+                    int repetitions, double min_repetition_seconds) {
+  OIPA_CHECK_GE(repetitions, 1);
+  const double warmup_seconds = run().second;
+  LegStats stats;
+  stats.repetitions = repetitions;
+  stats.runs_per_repetition = std::max<int64_t>(
+      1, static_cast<int64_t>(std::ceil(
+             min_repetition_seconds / std::max(warmup_seconds, 1e-6))));
+  std::vector<double> rates;
+  for (int r = 0; r < repetitions; ++r) {
+    double work = 0.0;
+    double seconds = 0.0;
+    for (int64_t i = 0; i < stats.runs_per_repetition; ++i) {
+      const auto [w, s] = run();
+      work += w;
+      seconds += s;
+    }
+    rates.push_back(work / seconds);
+  }
+  stats.median = Quantile(rates, 0.5);
+  stats.min = Quantile(rates, 0.0);
+  stats.p90 = Quantile(rates, 0.9);
+  return stats;
 }
 
 BenchScales RequestedScales(const FlagParser& flags) {

@@ -2,8 +2,10 @@
 #define OIPA_BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/datasets.h"
@@ -89,6 +91,26 @@ MethodResult RunBab(const BenchEnv& env, const LogisticAdoptionModel& model,
 MethodResult RunBabP(const BenchEnv& env,
                      const LogisticAdoptionModel& model, int k,
                      double epsilon, const BabOptions& base_options);
+
+/// Throughput spread of one bench leg over its timed repetitions, in
+/// work units per second.
+struct LegStats {
+  double median = 0.0;
+  double min = 0.0;
+  double p90 = 0.0;
+  int repetitions = 0;
+  /// Calls of the leg's work function per timed repetition.
+  int64_t runs_per_repetition = 0;
+};
+
+/// Times a bench leg so a single slow or fast shot cannot decide a gate:
+/// one untimed warm-up call of `run`, then `repetitions` timed
+/// repetitions, each calling `run` as many times as the warm-up says fit
+/// in `min_repetition_seconds`. `run` performs one unit of the leg and
+/// returns {work done, seconds on the clock}, so it may keep its own
+/// set-up off the clock. Gates read LegStats::median.
+LegStats MeasureLeg(const std::function<std::pair<double, double>()>& run,
+                    int repetitions, double min_repetition_seconds);
 
 /// Datasets requested on the command line (--datasets=lastfm,dblp,tweet);
 /// defaults to all three.

@@ -9,9 +9,14 @@
 // test collection — where the old regenerate-per-round scheme paid
 // 2 * sum of all round sizes).
 //
+// Each throughput leg runs a warm-up and then 5 timed repetitions of at
+// least 200 ms each (one leg alone lasts only 8-60 ms, too short to gate
+// on) and reports the median, min and p90 samples/sec across
+// repetitions.
+//
 // Emits BENCH_sampling.json (uploaded by CI next to the other bench
-// trajectories). The single-threaded samples_per_sec legs are the ones
-// scripts/check_perf_regression.py gates against the baseline.
+// trajectories). The median samples_per_sec of the single-threaded legs
+// is what scripts/check_perf_regression.py gates against the baseline.
 //
 // Flags: --dataset=lastfm --ell=3 --theta=20000 --extend_rounds=3
 //        --sampling_threads=1,4,16
@@ -21,8 +26,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -84,18 +91,44 @@ int main(int argc, char** argv) {
   const std::vector<int64_t> sampling_threads =
       flags.GetIntList("sampling_threads", {1, 4, 16});
 
+  const auto leg_json = [](const LegStats& stats) {
+    JsonValue j = JsonValue::Object();
+    j.Set("samples_per_sec", stats.median)
+        .Set("samples_per_sec_min", stats.min)
+        .Set("samples_per_sec_p90", stats.p90)
+        .Set("repetitions", stats.repetitions)
+        .Set("runs_per_repetition", stats.runs_per_repetition);
+    return j;
+  };
+  const auto measure = [](const std::function<std::pair<double, double>()>&
+                              run) {
+    return MeasureLeg(run, /*repetitions=*/5,
+                      /*min_repetition_seconds=*/0.2);
+  };
+
   // ------------------------------------------------ generation throughput
   {
     JsonValue by_threads = JsonValue::Array();
     uint64_t single_thread_hash = 0;
     for (const int64_t threads64 : sampling_threads) {
       const int threads = static_cast<int>(threads64);
-      WallTimer timer;
-      const MrrCollection fresh = MrrCollection::Generate(
-          env.pieces, theta, 29, DiffusionModel::kIndependentCascade,
-          threads);
-      const double seconds = timer.Seconds();
-      const uint64_t hash = Fingerprint(fresh);
+      uint64_t hash = 0;
+      int64_t memberships = 0;
+      int64_t memory_bytes = 0;
+      const LegStats stats = measure([&] {
+        WallTimer timer;
+        const MrrCollection fresh = MrrCollection::Generate(
+            env.pieces, theta, 29, DiffusionModel::kIndependentCascade,
+            threads);
+        const double seconds = timer.Seconds();
+        if (hash == 0) {
+          hash = Fingerprint(fresh);
+          memberships = fresh.TotalSize();
+          memory_bytes = fresh.MemoryBytes();
+        }
+        return std::pair<double, double>(static_cast<double>(theta),
+                                         seconds);
+      });
       if (threads == 1) single_thread_hash = hash;
       // PerSampleSeed determinism: any thread count must reproduce the
       // single-threaded collection bit for bit.
@@ -104,17 +137,17 @@ int main(int argc, char** argv) {
             << "parallel generation diverged at " << threads
             << " threads";
       }
-      JsonValue j = JsonValue::Object();
+      JsonValue j = leg_json(stats);
       j.Set("threads", threads)
           .Set("samples", theta)
-          .Set("seconds", seconds)
-          .Set("samples_per_sec", theta / seconds)
-          .Set("memberships", fresh.TotalSize())
-          .Set("memory_bytes", fresh.MemoryBytes());
+          .Set("memberships", memberships)
+          .Set("memory_bytes", memory_bytes);
       std::printf(
-          "generate[threads=%d]: %lld samples in %.3fs (%.0f samples/s)\n",
-          threads, static_cast<long long>(theta), seconds,
-          theta / seconds);
+          "generate[threads=%d]: %lld samples x %lld runs x %d reps: "
+          "median %.0f samples/s (min %.0f, p90 %.0f)\n",
+          threads, static_cast<long long>(theta),
+          static_cast<long long>(stats.runs_per_repetition),
+          stats.repetitions, stats.median, stats.min, stats.p90);
       // The gated scalar throughput keeps its historical flat shape.
       if (threads == 1) {
         result.Set("generate", j);
@@ -130,36 +163,50 @@ int main(int argc, char** argv) {
     uint64_t single_thread_hash = 0;
     for (const int64_t threads64 : sampling_threads) {
       const int threads = static_cast<int>(threads64);
-      MrrCollection grown = MrrCollection::Generate(
-          env.pieces, theta / 2, 29, DiffusionModel::kIndependentCascade,
-          threads);
-      WallTimer timer;
+      uint64_t hash = 0;
       int64_t grown_samples = 0;
-      int64_t target = theta;
-      for (int r = 0; r < extend_rounds; ++r, target *= 2) {
-        grown_samples += target - grown.theta();
-        grown.Extend(env.pieces, target, threads);
-      }
-      const double seconds = timer.Seconds();
-      const uint64_t hash = Fingerprint(grown);
+      int64_t final_theta = 0;
+      int index_segments = 0;
+      const LegStats stats = measure([&] {
+        // The starting collection is drawn off the clock.
+        MrrCollection grown = MrrCollection::Generate(
+            env.pieces, theta / 2, 29, DiffusionModel::kIndependentCascade,
+            threads);
+        WallTimer timer;
+        grown_samples = 0;
+        int64_t target = theta;
+        for (int r = 0; r < extend_rounds; ++r, target *= 2) {
+          grown_samples += target - grown.theta();
+          grown.Extend(env.pieces, target, threads);
+        }
+        const double seconds = timer.Seconds();
+        if (hash == 0) {
+          hash = Fingerprint(grown);
+          final_theta = grown.theta();
+          index_segments = grown.num_index_segments();
+        }
+        return std::pair<double, double>(
+            static_cast<double>(grown_samples), seconds);
+      });
       if (threads == 1) single_thread_hash = hash;
       if (single_thread_hash != 0) {
         OIPA_CHECK_EQ(hash, single_thread_hash)
             << "parallel growth diverged at " << threads << " threads";
       }
-      JsonValue j = JsonValue::Object();
+      JsonValue j = leg_json(stats);
       j.Set("threads", threads)
           .Set("rounds", extend_rounds)
           .Set("samples", grown_samples)
-          .Set("final_theta", grown.theta())
-          .Set("index_segments", grown.num_index_segments())
-          .Set("seconds", seconds)
-          .Set("samples_per_sec", grown_samples / seconds);
+          .Set("final_theta", final_theta)
+          .Set("index_segments", index_segments);
       std::printf(
-          "extend[threads=%d]: %lld samples across %d rounds in %.3fs "
-          "(%.0f samples/s, %d index segments)\n",
+          "extend[threads=%d]: %lld samples across %d rounds x %lld runs "
+          "x %d reps: median %.0f samples/s (min %.0f, p90 %.0f, %d "
+          "index segments)\n",
           threads, static_cast<long long>(grown_samples), extend_rounds,
-          seconds, grown_samples / seconds, grown.num_index_segments());
+          static_cast<long long>(stats.runs_per_repetition),
+          stats.repetitions, stats.median, stats.min, stats.p90,
+          index_segments);
       if (threads == 1) {
         result.Set("extend", j);
       }

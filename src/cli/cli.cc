@@ -18,6 +18,7 @@
 #include "oipa/api/planning_context.h"
 #include "oipa/api/solver_registry.h"
 #include "oipa/branch_and_bound.h"
+#include "rrset/coverage_kernels.h"
 #include "rrset/mrr_collection.h"
 #include "serve/client.h"
 #include "serve/json_parser.h"
@@ -634,7 +635,12 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
   }
 
   c.k = static_cast<int>(flags.GetInt("k", c.k));
-  c.ell = static_cast<int>(flags.GetInt("ell", c.ell));
+  const int64_t ell = flags.GetInt("ell", c.ell);
+  if (ell < 1 || ell > kMaxPieces) {
+    return Status::InvalidArgument("--ell must be in [1, " +
+                                   std::to_string(kMaxPieces) + "]");
+  }
+  c.ell = static_cast<int>(ell);
   c.theta = flags.GetInt("theta", c.theta);
   c.epsilon = flags.GetDouble("epsilon", c.epsilon);
   c.sampling_epsilon =
@@ -672,8 +678,14 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
     return Status::InvalidArgument("--topics must be >= 1");
   }
   if (c.k < 1) return Status::InvalidArgument("--k must be >= 1");
-  if (c.ell < 1) return Status::InvalidArgument("--ell must be >= 1");
-  if (c.theta < 1) return Status::InvalidArgument("--theta must be >= 1");
+  if (c.theta < 1 || c.theta > kMaxTheta) {
+    return Status::InvalidArgument("--theta must be in [1, " +
+                                   std::to_string(kMaxTheta) + "]");
+  }
+  if (c.max_theta > kMaxTheta) {
+    return Status::InvalidArgument("--max_theta must be <= " +
+                                   std::to_string(kMaxTheta));
+  }
   if (c.epsilon <= 0.0 || c.epsilon >= 1.0) {
     return Status::InvalidArgument("--epsilon must be in (0, 1)");
   }
@@ -759,7 +771,8 @@ std::string UsageString() {
      << "                           the registry (bab-p; bab when\n"
      << "                           --progressive=false)\n"
      << "  --k=<budget[,budget..]>  assignment budget; list for bench (10)\n"
-     << "  --ell=<pieces>           campaign pieces L (3)\n"
+     << "  --ell=<pieces>           campaign pieces L (3, at most "
+     << kMaxPieces << ")\n"
      << "  --theta=<samples>        MRR samples (20000); the starting\n"
      << "                           size under --sampling_epsilon\n"
      << "  --epsilon=<0..1>         BAB-P threshold decay (0.5)\n"

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "oipa/adoption.h"
+#include "rrset/coverage_kernels.h"
 #include "util/fault_injector.h"
 
 namespace oipa {
@@ -33,6 +34,14 @@ Status ValidateInputs(const Graph* graph, const EdgeTopicProbs* probs,
   }
   if (campaign->num_pieces() < 1) {
     return Status::InvalidArgument("campaign has no pieces");
+  }
+  if (campaign->num_pieces() > kMaxPieces) {
+    // The coverage state keeps one fixed-width covered-piece mask per
+    // sample (rrset/coverage_kernels.h).
+    return Status::InvalidArgument(
+        "campaign has " + std::to_string(campaign->num_pieces()) +
+        " pieces; at most " + std::to_string(kMaxPieces) +
+        " are supported");
   }
   for (int j = 0; j < campaign->num_pieces(); ++j) {
     if (campaign->piece(j).topics.num_topics() != probs->num_topics()) {
@@ -103,12 +112,17 @@ StatusOr<std::shared_ptr<const PlanningContext>> PlanningContext::Create(
     ContextOptions options) {
   OIPA_RETURN_IF_ERROR(
       ValidateInputs(graph.get(), probs.get(), campaign.get()));
-  if (options.theta < 1) {
-    return Status::InvalidArgument("ContextOptions::theta must be >= 1");
-  }
-  if (options.holdout_theta < -1) {
+  if (options.theta < 1 || options.theta > kMaxTheta) {
     return Status::InvalidArgument(
-        "ContextOptions::holdout_theta must be >= -1");
+        "ContextOptions::theta must be in [1, " +
+        std::to_string(kMaxTheta) + "], got " +
+        std::to_string(options.theta));
+  }
+  if (options.holdout_theta < -1 || options.holdout_theta > kMaxTheta) {
+    return Status::InvalidArgument(
+        "ContextOptions::holdout_theta must be in [-1, " +
+        std::to_string(kMaxTheta) + "], got " +
+        std::to_string(options.holdout_theta));
   }
   return Build(std::move(graph), std::move(probs), std::move(campaign),
                model, options, nullptr, nullptr);

@@ -316,6 +316,12 @@ Status ValidateRequest(const PlanningContext& context,
         std::to_string(*request.deadline_ms) +
         "); leave it unset for no deadline");
   }
+  if (request.max_theta > kMaxTheta) {
+    return Status::InvalidArgument(
+        "max_theta must be <= " + std::to_string(kMaxTheta) +
+        " (sample ids are 32-bit), got " +
+        std::to_string(request.max_theta));
+  }
   if (request.epsilon > 0.0) {
     if (request.max_theta < 1) {
       return Status::InvalidArgument(

@@ -20,6 +20,7 @@ BoundEvaluator::BoundEvaluator(const MrrCollection* mrr,
       pools_(std::move(pools)),
       num_vertices_(mrr->num_vertices()),
       num_pieces_(mrr->num_pieces()) {
+  OIPA_CHECK_LE(num_pieces_, kMaxPieces) << "greedy-piece mask width";
   OIPA_CHECK_EQ(static_cast<int>(pools_.size()), num_pieces_);
   for (const auto& pool : pools_) {
     for (VertexId v : pool) {
@@ -27,10 +28,7 @@ BoundEvaluator::BoundEvaluator(const MrrCollection* mrr,
       OIPA_CHECK_LT(v, num_vertices_);
     }
   }
-  line_epoch_.assign(mrr_->theta(), 0);
-  line_value_.assign(mrr_->theta(), 0.0);
-  greedy_cover_epoch_.resize(num_pieces_);
-  for (auto& row : greedy_cover_epoch_) row.assign(mrr_->theta(), 0);
+  lines_.assign(mrr_->theta(), LineRecord{});
   excluded_flag_.assign(
       static_cast<size_t>(num_pieces_) * num_vertices_, 0);
   anchor_by_count_.resize(num_pieces_ + 1);
@@ -43,13 +41,11 @@ BoundEvaluator::BoundEvaluator(const MrrCollection* mrr,
 
 void BoundEvaluator::SyncWithCollection() {
   const int64_t new_theta = mrr_->theta();
-  OIPA_CHECK_GE(new_theta, static_cast<int64_t>(line_epoch_.size()));
-  // Per-sample scratch rows grow by plain appends. New entries start at
+  OIPA_CHECK_GE(new_theta, static_cast<int64_t>(lines_.size()));
+  // The per-sample records grow by a plain append. New records start at
   // epoch 0; BeginCall keeps epoch_ >= 1, so they are correctly treated
   // as stale on first touch.
-  line_epoch_.resize(new_theta, 0);
-  line_value_.resize(new_theta, 0.0);
-  for (auto& row : greedy_cover_epoch_) row.resize(new_theta, 0);
+  lines_.resize(new_theta, LineRecord{});
 }
 
 BoundEvaluator::BoundEvaluator(const MrrCollection* mrr,
@@ -61,39 +57,17 @@ BoundEvaluator::BoundEvaluator(const MrrCollection* mrr,
                          mrr->num_pieces(), shared_pool),
                      variant) {}
 
-double BoundEvaluator::LineValue(int64_t i, const CoverageState& state) {
-  if (line_epoch_[i] != epoch_) {
-    line_epoch_[i] = epoch_;
-    line_value_[i] = table_.line(state.CoverCount(i)).value_at_anchor;
-  }
-  return line_value_[i];
-}
-
-double BoundEvaluator::SampleGain(int64_t i, const CoverageState& state) {
-  const double lv = LineValue(i, state);
-  const double slope = table_.line(state.CoverCount(i)).slope_per_piece;
-  const double headroom = 1.0 - lv;
-  if (headroom <= 0.0) return 0.0;
-  return slope < headroom ? slope : headroom;
-}
-
 double BoundEvaluator::CandidateGain(int piece, VertexId v,
                                      const CoverageState& state) {
   ++total_tau_evals_;
   // The search's hot loop, batched through the tangent-gain kernel
-  // (rrset/coverage_kernels.h). Read-only: unlike the historical loop
-  // it does not warm the line-value cache — the cached value would be
-  // exactly the anchor value the kernel reads instead, so results are
-  // bit-identical and ApplyCandidate still initializes the cache.
+  // (rrset/coverage_kernels.h): per posting it reads the sample's
+  // covered-piece mask and its line record, nothing else.
   double gain = 0.0;
-  const uint16_t* mult = state.MultiplicityRow(piece);
-  const uint32_t* gepoch = greedy_cover_epoch_[piece].data();
-  const uint8_t* counts = state.CoverCounts();
-  mrr_->ForEachSampleSpan(piece, v, [&](std::span<const int64_t> ids) {
-    gain = TangentGainSum(ids, mult, gepoch, epoch_, line_epoch_.data(),
-                          line_value_.data(), counts,
-                          anchor_by_count_.data(), slope_by_count_.data(),
-                          gain);
+  mrr_->ForEachSampleSpan(piece, v, [&](std::span<const SampleId> ids) {
+    gain = TangentGainSum(ids, state.CoveredMasks(), piece, lines_.data(),
+                          epoch_, anchor_by_count_.data(),
+                          slope_by_count_.data(), gain);
   });
   return gain;
 }
@@ -101,14 +75,24 @@ double BoundEvaluator::CandidateGain(int piece, VertexId v,
 double BoundEvaluator::ApplyCandidate(int piece, VertexId v,
                                       const CoverageState& state) {
   double gain = 0.0;
-  std::vector<uint32_t>& marks = greedy_cover_epoch_[piece];
+  const PieceMask bit = PieceMask{1} << piece;
+  const PieceMask* covered = state.CoveredMasks();
   mrr_->ForEachSampleContaining(piece, v, [&](int64_t i) {
-    if (state.IsCovered(i, piece)) return;
-    uint32_t& mark = marks[i];
-    if (mark == epoch_) return;
-    mark = epoch_;
-    const double g = SampleGain(i, state);
-    line_value_[i] += g;  // LineValue already initialized by SampleGain
+    const PieceMask mask = covered[i];
+    if ((mask & bit) != 0) return;
+    const int c = CoveredCount(mask);
+    LineRecord& line = lines_[i];
+    if (line.epoch != epoch_) {
+      line = {anchor_by_count_[c], epoch_, 0};
+    } else if ((line.greedy & bit) != 0) {
+      return;
+    }
+    line.greedy |= bit;
+    const double headroom = 1.0 - line.value;
+    if (headroom <= 0.0) return;
+    const double slope = slope_by_count_[c];
+    const double g = slope < headroom ? slope : headroom;
+    line.value += g;
     gain += g;
   });
   return gain;
@@ -126,10 +110,7 @@ double BoundEvaluator::BaseTau(const CoverageState& state) const {
 void BoundEvaluator::BeginCall(const std::vector<Assignment>& excluded) {
   ++epoch_;
   if (epoch_ == 0) {
-    std::fill(line_epoch_.begin(), line_epoch_.end(), 0u);
-    for (auto& row : greedy_cover_epoch_) {
-      std::fill(row.begin(), row.end(), 0u);
-    }
+    for (LineRecord& line : lines_) line.epoch = 0;
     epoch_ = 1;
   }
   for (const auto& [piece, v] : excluded) {

@@ -45,8 +45,10 @@ struct BoundResult {
 /// Implements ComputeBound (Algorithm 2, plain greedy over the tangent
 /// surrogate) and ComputeBoundPro (Algorithm 3, progressive threshold
 /// with early termination). One evaluator is reused across all
-/// branch-and-bound nodes; per-sample scratch state is epoch-stamped so a
-/// call costs O(touched index lists), not O(theta * l).
+/// branch-and-bound nodes; per-sample scratch state is one epoch-stamped
+/// LineRecord per sample (rrset/coverage_kernels.h), so a call
+/// costs O(touched index lists), not O(theta * l). The collection may
+/// have at most kMaxPieces pieces.
 class BoundEvaluator {
  public:
   /// `pools[j]` is the promoter pool eligible for piece j (the paper uses
@@ -106,18 +108,12 @@ class BoundEvaluator {
   }
 
  private:
-  /// Lazily initializes and returns the current surrogate line value of
-  /// sample i (anchor value plus greedy-phase gains this call).
-  double LineValue(int64_t i, const CoverageState& state);
-
-  /// Marginal surrogate gain of covering one more piece of sample i.
-  double SampleGain(int64_t i, const CoverageState& state);
-
   /// Gain of candidate (piece, v) under the current greedy-phase state.
   double CandidateGain(int piece, VertexId v, const CoverageState& state);
 
-  /// Applies candidate (piece, v): marks its samples covered and advances
-  /// their line values. Returns the realized gain.
+  /// Applies candidate (piece, v): marks its samples greedily covered on
+  /// `piece` and advances their line values, refreshing stale records
+  /// first. Returns the realized gain.
   double ApplyCandidate(int piece, VertexId v, const CoverageState& state);
 
   /// Sum of anchor line values over all samples (unscaled).
@@ -139,14 +135,10 @@ class BoundEvaluator {
   VertexId num_vertices_;
   int num_pieces_;
 
-  // Epoch-stamped scratch (no O(theta) clearing between calls).
+  // Epoch-stamped scratch (no O(theta) clearing between calls): a
+  // record is current only while its epoch equals epoch_.
   uint32_t epoch_ = 0;
-  std::vector<uint32_t> line_epoch_;  // theta
-  std::vector<double> line_value_;    // theta
-  /// Piece-major greedy-coverage stamps (one contiguous theta-sized row
-  /// per piece): the batched CandidateGain kernel gathers a whole row
-  /// alongside CoverageState::MultiplicityRow.
-  std::vector<std::vector<uint32_t>> greedy_cover_epoch_;  // l x theta
+  std::vector<LineRecord> lines_;       // theta
   std::vector<uint8_t> excluded_flag_;  // l * n (set/cleared per call)
   /// table_.line(c) flattened to per-count arrays for the kernels.
   /// Sized l+1: cover counts legitimately reach l.

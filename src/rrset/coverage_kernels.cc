@@ -29,15 +29,16 @@ bool ScalarForcedByEnv() {
 /// identical terms, identical posting-order reduction — differing only
 /// in the ISA the compiler may use for the term loop.
 #define OIPA_COVERAGE_GAIN_BODY                                         \
-  const int64_t* p = ids.data();                                        \
+  const SampleId* p = ids.data();                                       \
   size_t n = ids.size();                                                \
+  const PieceMask bit = PieceMask{1} << piece;                          \
   double terms[kBlock];                                                 \
   while (n > 0) {                                                       \
     const size_t blk = n < kBlock ? n : kBlock;                         \
     for (size_t u = 0; u < blk; ++u) {                                  \
-      const int64_t id = p[u];                                          \
-      const double d = delta_f[cover_count[id]];                        \
-      terms[u] = mult[id] == 0 ? d : 0.0;                               \
+      const PieceMask m = covered[p[u]];                                \
+      const double d = delta_f[CoveredCount(m)];                        \
+      terms[u] = (m & bit) == 0 ? d : 0.0;                              \
     }                                                                   \
     for (size_t u = 0; u < blk; ++u) acc += terms[u];                   \
     p += blk;                                                           \
@@ -46,8 +47,9 @@ bool ScalarForcedByEnv() {
   return acc;
 
 #define OIPA_COVERAGE_GAIN_BOUND_BODY                                   \
-  const int64_t* p = ids.data();                                        \
+  const SampleId* p = ids.data();                                       \
   size_t n = ids.size();                                                \
+  const PieceMask bit = PieceMask{1} << piece;                          \
   double gain = *gain_acc;                                              \
   double bound = *bound_acc;                                            \
   double gain_terms[kBlock];                                            \
@@ -55,9 +57,9 @@ bool ScalarForcedByEnv() {
   while (n > 0) {                                                       \
     const size_t blk = n < kBlock ? n : kBlock;                         \
     for (size_t u = 0; u < blk; ++u) {                                  \
-      const int64_t id = p[u];                                          \
-      const int c = cover_count[id];                                    \
-      const bool uncovered = mult[id] == 0;                             \
+      const PieceMask m = covered[p[u]];                                \
+      const int c = CoveredCount(m);                                    \
+      const bool uncovered = (m & bit) == 0;                            \
       gain_terms[u] = uncovered ? delta_f[c] : 0.0;                     \
       bound_terms[u] = uncovered ? delta_f_sufmax[c] : 0.0;             \
     }                                                                   \
@@ -72,17 +74,21 @@ bool ScalarForcedByEnv() {
   *bound_acc = bound;
 
 #define OIPA_TANGENT_GAIN_BODY                                          \
-  const int64_t* p = ids.data();                                        \
+  const SampleId* p = ids.data();                                       \
   size_t n = ids.size();                                                \
+  const PieceMask bit = PieceMask{1} << piece;                          \
   double terms[kBlock];                                                 \
   while (n > 0) {                                                       \
     const size_t blk = n < kBlock ? n : kBlock;                         \
     for (size_t u = 0; u < blk; ++u) {                                  \
-      const int64_t id = p[u];                                          \
-      const int c = cover_count[id];                                    \
-      const bool skip = mult[id] != 0 || greedy_epoch[id] == epoch;     \
-      const double lv = line_epoch[id] == epoch ? line_value[id]        \
-                                                : anchor_by_count[c];   \
+      const SampleId id = p[u];                                         \
+      const PieceMask m = covered[id];                                  \
+      const int c = CoveredCount(m);                                    \
+      const LineRecord& line = lines[id];                              \
+      const bool fresh = line.epoch == epoch;                           \
+      const bool skip =                                                 \
+          ((m | (fresh ? line.greedy : PieceMask{0})) & bit) != 0;      \
+      const double lv = fresh ? line.value : anchor_by_count[c];        \
       const double headroom = 1.0 - lv;                                 \
       const double slope = slope_by_count[c];                           \
       const double g = slope < headroom ? slope : headroom;             \
@@ -99,23 +105,21 @@ bool ScalarForcedByEnv() {
 #define OIPA_KERNELS_HAVE_AVX2 1
 
 __attribute__((target("avx2,fma"))) double CoverageGainSumAvx2(
-    std::span<const int64_t> ids, const uint16_t* mult,
-    const uint8_t* cover_count, const double* delta_f, double acc) {
+    std::span<const SampleId> ids, const PieceMask* covered, int piece,
+    const double* delta_f, double acc) {
   OIPA_COVERAGE_GAIN_BODY
 }
 
 __attribute__((target("avx2,fma"))) void CoverageGainBoundSumAvx2(
-    std::span<const int64_t> ids, const uint16_t* mult,
-    const uint8_t* cover_count, const double* delta_f,
-    const double* delta_f_sufmax, double* gain_acc, double* bound_acc) {
+    std::span<const SampleId> ids, const PieceMask* covered, int piece,
+    const double* delta_f, const double* delta_f_sufmax, double* gain_acc,
+    double* bound_acc) {
   OIPA_COVERAGE_GAIN_BOUND_BODY
 }
 
 __attribute__((target("avx2,fma"))) double TangentGainSumAvx2(
-    std::span<const int64_t> ids, const uint16_t* mult,
-    const uint32_t* greedy_epoch, uint32_t epoch,
-    const uint32_t* line_epoch, const double* line_value,
-    const uint8_t* cover_count, const double* anchor_by_count,
+    std::span<const SampleId> ids, const PieceMask* covered, int piece,
+    const LineRecord* lines, uint32_t epoch, const double* anchor_by_count,
     const double* slope_by_count, double acc) {
   OIPA_TANGENT_GAIN_BODY
 }
@@ -139,76 +143,68 @@ bool UseSimd() {
 
 }  // namespace
 
-double CoverageGainSumScalar(std::span<const int64_t> ids,
-                             const uint16_t* mult,
-                             const uint8_t* cover_count,
+double CoverageGainSumScalar(std::span<const SampleId> ids,
+                             const PieceMask* covered, int piece,
                              const double* delta_f, double acc) {
   OIPA_COVERAGE_GAIN_BODY
 }
 
-void CoverageGainBoundSumScalar(std::span<const int64_t> ids,
-                                const uint16_t* mult,
-                                const uint8_t* cover_count,
+void CoverageGainBoundSumScalar(std::span<const SampleId> ids,
+                                const PieceMask* covered, int piece,
                                 const double* delta_f,
                                 const double* delta_f_sufmax,
                                 double* gain_acc, double* bound_acc) {
   OIPA_COVERAGE_GAIN_BOUND_BODY
 }
 
-double TangentGainSumScalar(std::span<const int64_t> ids,
-                            const uint16_t* mult,
-                            const uint32_t* greedy_epoch, uint32_t epoch,
-                            const uint32_t* line_epoch,
-                            const double* line_value,
-                            const uint8_t* cover_count,
+double TangentGainSumScalar(std::span<const SampleId> ids,
+                            const PieceMask* covered, int piece,
+                            const LineRecord* lines, uint32_t epoch,
                             const double* anchor_by_count,
                             const double* slope_by_count, double acc) {
   OIPA_TANGENT_GAIN_BODY
 }
 
-double CoverageGainSum(std::span<const int64_t> ids, const uint16_t* mult,
-                       const uint8_t* cover_count, const double* delta_f,
-                       double acc) {
+double CoverageGainSum(std::span<const SampleId> ids,
+                       const PieceMask* covered, int piece,
+                       const double* delta_f, double acc) {
 #if OIPA_KERNELS_HAVE_AVX2
   if (UseSimd()) {
-    return CoverageGainSumAvx2(ids, mult, cover_count, delta_f, acc);
+    return CoverageGainSumAvx2(ids, covered, piece, delta_f, acc);
   }
 #endif
-  return CoverageGainSumScalar(ids, mult, cover_count, delta_f, acc);
+  return CoverageGainSumScalar(ids, covered, piece, delta_f, acc);
 }
 
-void CoverageGainBoundSum(std::span<const int64_t> ids,
-                          const uint16_t* mult, const uint8_t* cover_count,
+void CoverageGainBoundSum(std::span<const SampleId> ids,
+                          const PieceMask* covered, int piece,
                           const double* delta_f,
                           const double* delta_f_sufmax, double* gain_acc,
                           double* bound_acc) {
 #if OIPA_KERNELS_HAVE_AVX2
   if (UseSimd()) {
-    CoverageGainBoundSumAvx2(ids, mult, cover_count, delta_f,
-                             delta_f_sufmax, gain_acc, bound_acc);
+    CoverageGainBoundSumAvx2(ids, covered, piece, delta_f, delta_f_sufmax,
+                             gain_acc, bound_acc);
     return;
   }
 #endif
-  CoverageGainBoundSumScalar(ids, mult, cover_count, delta_f,
-                             delta_f_sufmax, gain_acc, bound_acc);
+  CoverageGainBoundSumScalar(ids, covered, piece, delta_f, delta_f_sufmax,
+                             gain_acc, bound_acc);
 }
 
-double TangentGainSum(std::span<const int64_t> ids, const uint16_t* mult,
-                      const uint32_t* greedy_epoch, uint32_t epoch,
-                      const uint32_t* line_epoch, const double* line_value,
-                      const uint8_t* cover_count,
+double TangentGainSum(std::span<const SampleId> ids,
+                      const PieceMask* covered, int piece,
+                      const LineRecord* lines, uint32_t epoch,
                       const double* anchor_by_count,
                       const double* slope_by_count, double acc) {
 #if OIPA_KERNELS_HAVE_AVX2
   if (UseSimd()) {
-    return TangentGainSumAvx2(ids, mult, greedy_epoch, epoch, line_epoch,
-                              line_value, cover_count, anchor_by_count,
-                              slope_by_count, acc);
+    return TangentGainSumAvx2(ids, covered, piece, lines, epoch,
+                              anchor_by_count, slope_by_count, acc);
   }
 #endif
-  return TangentGainSumScalar(ids, mult, greedy_epoch, epoch, line_epoch,
-                              line_value, cover_count, anchor_by_count,
-                              slope_by_count, acc);
+  return TangentGainSumScalar(ids, covered, piece, lines, epoch,
+                              anchor_by_count, slope_by_count, acc);
 }
 
 bool SimdKernelsActive() { return UseSimd(); }

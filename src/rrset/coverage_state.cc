@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "rrset/coverage_kernels.h"
 #include "util/logging.h"
 
 namespace oipa {
@@ -12,6 +11,7 @@ CoverageState::CoverageState(const MrrCollection* mrr,
     : mrr_(mrr),
       num_pieces_(mrr->num_pieces()),
       f_by_count_(std::move(f_by_count)) {
+  OIPA_CHECK_LE(num_pieces_, kMaxPieces) << "covered-piece mask width";
   OIPA_CHECK_EQ(static_cast<int>(f_by_count_.size()), num_pieces_ + 1);
   // One zero pad entry at index l keeps the kernels' unmasked gathers
   // in bounds for fully covered samples (see the header).
@@ -28,14 +28,33 @@ CoverageState::CoverageState(const MrrCollection* mrr,
   }
   multiplicity_.resize(num_pieces_);
   for (auto& row : multiplicity_) row.assign(mrr_->theta(), 0);
-  cover_count_.assign(mrr_->theta(), 0);
+  covered_.assign(mrr_->theta(), 0);
   count_hist_.assign(num_pieces_ + 1, 0);
   count_hist_[0] = mrr_->theta();
 }
 
 void CoverageState::CheckSynced() const {
-  OIPA_CHECK_EQ(static_cast<int64_t>(cover_count_.size()), mrr_->theta())
+  OIPA_CHECK_EQ(static_cast<int64_t>(covered_.size()), mrr_->theta())
       << "collection grew; call ExtendToCollection() first";
+}
+
+void CoverageState::Cover(int64_t i, int piece) {
+  PieceMask& mask = covered_[i];
+  const int c = CoveredCount(mask);
+  mask |= PieceMask{1} << piece;
+  sum_f_ += delta_f_[c];
+  --count_hist_[c];
+  ++count_hist_[c + 1];
+  if (c == 0) touched_.push_back(i);
+}
+
+void CoverageState::Uncover(int64_t i, int piece) {
+  PieceMask& mask = covered_[i];
+  const int c = CoveredCount(mask);
+  mask &= ~(PieceMask{1} << piece);
+  sum_f_ -= delta_f_[c - 1];
+  --count_hist_[c];
+  ++count_hist_[c - 1];
 }
 
 void CoverageState::AddSeed(VertexId v, int piece) {
@@ -48,13 +67,7 @@ void CoverageState::AddSeed(VertexId v, int piece) {
     uint16_t& mult = row[i];
     OIPA_CHECK_LT(mult, UINT16_MAX);
     if (journal) journal_.push_back({i, piece, +1});
-    if (mult++ == 0) {
-      const int c = cover_count_[i]++;
-      sum_f_ += delta_f_[c];
-      --count_hist_[c];
-      ++count_hist_[c + 1];
-      if (c == 0) touched_.push_back(i);
-    }
+    if (mult++ == 0) Cover(i, piece);
   });
 }
 
@@ -68,12 +81,7 @@ void CoverageState::RemoveSeed(VertexId v, int piece) {
     uint16_t& mult = row[i];
     OIPA_CHECK_GT(mult, 0) << "RemoveSeed without matching AddSeed";
     if (journal) journal_.push_back({i, piece, -1});
-    if (--mult == 0) {
-      const int c = cover_count_[i]--;
-      sum_f_ -= delta_f_[c - 1];
-      --count_hist_[c];
-      ++count_hist_[c - 1];
-    }
+    if (--mult == 0) Uncover(i, piece);
   });
 }
 
@@ -81,12 +89,12 @@ void CoverageState::ExtendToCollection(
     const std::vector<std::pair<int, VertexId>>& applied) {
   OIPA_CHECK(!journaling())
       << "ExtendToCollection() inside an open Snapshot";
-  const int64_t old_theta = static_cast<int64_t>(cover_count_.size());
+  const int64_t old_theta = static_cast<int64_t>(covered_.size());
   const int64_t new_theta = mrr_->theta();
   OIPA_CHECK_GE(new_theta, old_theta);
   if (new_theta == old_theta) return;
   for (auto& row : multiplicity_) row.resize(new_theta, 0);
-  cover_count_.resize(new_theta, 0);
+  covered_.resize(new_theta, 0);
   count_hist_[0] += new_theta - old_theta;
   // Bind the active seeds to the appended samples only; samples below
   // old_theta already carry them.
@@ -99,13 +107,7 @@ void CoverageState::ExtendToCollection(
         [&](int64_t i) {
           uint16_t& mult = row[i];
           OIPA_CHECK_LT(mult, UINT16_MAX);
-          if (mult++ == 0) {
-            const int c = cover_count_[i]++;
-            sum_f_ += delta_f_[c];
-            --count_hist_[c];
-            ++count_hist_[c + 1];
-            if (c == 0) touched_.push_back(i);
-          }
+          if (mult++ == 0) Cover(i, piece);
         },
         /*min_sample=*/old_theta);
   }
@@ -116,7 +118,7 @@ void CoverageState::Clear() {
   // touched_ may contain duplicates and samples whose count has already
   // returned to zero; both are harmless to re-clear.
   for (int64_t i : touched_) {
-    cover_count_[i] = 0;
+    covered_[i] = 0;
     for (int j = 0; j < num_pieces_; ++j) multiplicity_[j][i] = 0;
   }
   touched_.clear();
@@ -124,7 +126,7 @@ void CoverageState::Clear() {
   std::fill(count_hist_.begin(), count_hist_.end(), 0);
   // The bound theta, not mrr_->theta(): the collection may have grown
   // since the last ExtendToCollection.
-  count_hist_[0] = static_cast<int64_t>(cover_count_.size());
+  count_hist_[0] = static_cast<int64_t>(covered_.size());
 }
 
 void CoverageState::Snapshot() { marks_.push_back(journal_.size()); }
@@ -143,20 +145,9 @@ void CoverageState::Restore() {
     uint16_t& mult = multiplicity_[entry.piece][entry.sample];
     if (entry.delta > 0) {
       OIPA_CHECK_GT(mult, 0);
-      if (--mult == 0) {
-        const int c = cover_count_[entry.sample]--;
-        sum_f_ -= delta_f_[c - 1];
-        --count_hist_[c];
-        ++count_hist_[c - 1];
-      }
+      if (--mult == 0) Uncover(entry.sample, entry.piece);
     } else {
-      if (mult++ == 0) {
-        const int c = cover_count_[entry.sample]++;
-        sum_f_ += delta_f_[c];
-        --count_hist_[c];
-        ++count_hist_[c + 1];
-        if (c == 0) touched_.push_back(entry.sample);
-      }
+      if (mult++ == 0) Cover(entry.sample, entry.piece);
     }
   }
   journal_.resize(mark);
@@ -168,10 +159,9 @@ double CoverageState::GainOfAdding(VertexId v, int piece) const {
   // order matches the historical per-posting loop exactly — a grown
   // (multi-segment) collection sums bit-identically to a fresh one.
   double gain = 0.0;
-  const uint16_t* mult = multiplicity_[piece].data();
-  const uint8_t* counts = cover_count_.data();
-  mrr_->ForEachSampleSpan(piece, v, [&](std::span<const int64_t> ids) {
-    gain = CoverageGainSum(ids, mult, counts, delta_f_.data(), gain);
+  mrr_->ForEachSampleSpan(piece, v, [&](std::span<const SampleId> ids) {
+    gain = CoverageGainSum(ids, covered_.data(), piece, delta_f_.data(),
+                           gain);
   });
   return gain * mrr_->UtilityScale();
 }
@@ -181,10 +171,8 @@ std::pair<double, double> CoverageState::GainAndBoundOfAdding(
   CheckSynced();
   double gain = 0.0;
   double bound = 0.0;
-  const uint16_t* mult = multiplicity_[piece].data();
-  const uint8_t* counts = cover_count_.data();
-  mrr_->ForEachSampleSpan(piece, v, [&](std::span<const int64_t> ids) {
-    CoverageGainBoundSum(ids, mult, counts, delta_f_.data(),
+  mrr_->ForEachSampleSpan(piece, v, [&](std::span<const SampleId> ids) {
+    CoverageGainBoundSum(ids, covered_.data(), piece, delta_f_.data(),
                          delta_f_sufmax_.data(), &gain, &bound);
   });
   const double scale = mrr_->UtilityScale();

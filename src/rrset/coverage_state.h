@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "rrset/coverage_kernels.h"
 #include "rrset/mrr_collection.h"
 
 namespace oipa {
@@ -15,11 +16,14 @@ namespace oipa {
 /// received" case unless a caller deliberately overrides it).
 ///
 /// Maintains, per sample i: how many seeds of piece j hit R_i^j
-/// (multiplicity), the covered-piece count c_i, and the running sum of
-/// f(c_i) — so AddSeed / RemoveSeed are O(|inverted list|) and the
-/// branch-and-bound engine can move between plans by diffing. The
-/// marginal table delta_f[c] = f[c+1] - f[c] is precomputed so every
-/// touched sample costs one flat-array lookup, not two.
+/// (multiplicity), the covered-piece mask (bit j set iff that
+/// multiplicity is positive; its popcount is the covered-piece count
+/// c_i), and the running sum of f(c_i) — so AddSeed / RemoveSeed are
+/// O(|inverted list|) and the branch-and-bound engine can move between
+/// plans by diffing. The gain queries read only the mask: one 4-byte
+/// gather per posting. The marginal table delta_f[c] = f[c+1] - f[c] is
+/// precomputed so every touched sample costs one flat-array lookup, not
+/// two. The collection may have at most kMaxPieces pieces.
 ///
 /// The state binds the collection's theta at construction. If the
 /// collection is grown (MrrCollection::Extend), call
@@ -82,19 +86,16 @@ class CoverageState {
   /// Raw per-sample sum (unscaled).
   double RawSum() const { return sum_f_; }
 
-  int CoverCount(int64_t sample) const { return cover_count_[sample]; }
+  int CoverCount(int64_t sample) const {
+    return CoveredCount(covered_[sample]);
+  }
   bool IsCovered(int64_t sample, int piece) const {
-    return multiplicity_[piece][sample] > 0;
+    return (covered_[sample] >> piece & 1) != 0;
   }
 
-  /// Flat per-sample rows for the batched kernels
-  /// (rrset/coverage_kernels.h): seed multiplicities of one piece, and
-  /// the covered-piece counts. Piece-major storage keeps each row
-  /// contiguous over samples, which is what the kernels gather from.
-  const uint16_t* MultiplicityRow(int piece) const {
-    return multiplicity_[piece].data();
-  }
-  const uint8_t* CoverCounts() const { return cover_count_.data(); }
+  /// The theta covered-piece masks, the flat per-sample row the batched
+  /// kernels (rrset/coverage_kernels.h) gather from.
+  const PieceMask* CoveredMasks() const { return covered_.data(); }
 
   /// Histogram over coverage counts: entry c is the number of samples
   /// currently covered on exactly c pieces. Size num_pieces()+1.
@@ -117,21 +118,26 @@ class CoverageState {
   /// The collection must not have grown past this state's arrays.
   void CheckSynced() const;
 
+  /// Bookkeeping for sample i gaining / losing its last seed of
+  /// `piece`: flips the mask bit and moves the sum and histogram.
+  void Cover(int64_t i, int piece);
+  void Uncover(int64_t i, int piece);
+
   const MrrCollection* mrr_;  // not owned
   int num_pieces_;
   std::vector<double> f_by_count_;
   /// delta_f_[c] = f[c+1] - f[c] and its suffix max. Sized l+1 with a
   /// zero pad at index l: the branchless kernels gather
-  /// delta_f_[cover_count_[i]] before masking covered samples, and a
-  /// fully covered sample legitimately carries cover_count_ == l.
+  /// delta_f_[CoveredCount(covered_[i])] before masking covered samples,
+  /// and a fully covered sample legitimately has count l.
   std::vector<double> delta_f_;
   std::vector<double> delta_f_sufmax_;
   /// Piece-major seed multiplicities: multiplicity_[j][i] counts the
-  /// seeds of piece j hitting R_i^j. One contiguous theta-sized row per
-  /// piece, so the kernels index rows by sample id directly and
-  /// ExtendToCollection appends per row in O(new samples).
+  /// seeds of piece j hitting R_i^j, so removal is exact. Only the
+  /// mutations read them; ExtendToCollection appends per row in
+  /// O(new samples).
   std::vector<std::vector<uint16_t>> multiplicity_;  // l x theta
-  std::vector<uint8_t> cover_count_;                 // theta
+  std::vector<PieceMask> covered_;                   // theta
   std::vector<int64_t> touched_;        // samples with any multiplicity
   std::vector<int64_t> count_hist_;     // l + 1
   std::vector<JournalEntry> journal_;   // touches since the first Snapshot

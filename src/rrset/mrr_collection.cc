@@ -47,6 +47,7 @@ void MrrCollection::Extend(const std::vector<InfluenceGraph>& piece_graphs,
     OIPA_CHECK_EQ(ig.graph().num_vertices(), n)
         << "all pieces must share the social graph";
   }
+  OIPA_CHECK_LE(new_theta, kMaxTheta) << "sample ids are 32-bit";
   if (new_theta <= theta_) return;
   const int64_t begin = theta_;
   const int64_t extra = new_theta - begin;
@@ -122,6 +123,7 @@ MrrCollection MrrCollection::FromParts(
     std::vector<VertexId> nodes, uint64_t base_seed, DiffusionModel model,
     bool extendable) {
   OIPA_CHECK_GE(theta, 0);
+  OIPA_CHECK_LE(theta, kMaxTheta) << "sample ids are 32-bit";
   OIPA_CHECK_GT(num_pieces, 0);
   OIPA_CHECK_GE(num_vertices, 0);
   OIPA_CHECK_EQ(static_cast<int64_t>(roots.size()), theta);
@@ -182,7 +184,7 @@ void MrrCollection::AppendIndexSegment(int64_t begin) {
       for (VertexId v : Set(i, j)) {
         const int64_t key =
             static_cast<int64_t>(j) * (num_vertices_ + 1) + v;
-        seg.samples[fill[key]++] = i;
+        seg.samples[fill[key]++] = static_cast<SampleId>(i);
       }
     }
   }

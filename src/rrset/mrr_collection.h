@@ -9,6 +9,13 @@
 
 namespace oipa {
 
+/// Sample ids as the inverted index stores them. 32 bits halve the
+/// posting stream the coverage kernels read, so a collection holds at
+/// most kMaxTheta samples; the API boundary (ContextOptions,
+/// PlanRequest, the mrr_io loader) rejects larger thetas with a Status.
+using SampleId = int32_t;
+inline constexpr int64_t kMaxTheta = INT32_MAX;
+
 /// Multi-RR (MRR) sets — the paper's Section V-A extension of RR sets to
 /// multifaceted campaigns. Each of the `theta` samples draws one uniform
 /// root v_i and, for every piece j, one RR set R_i^j on that piece's
@@ -30,11 +37,11 @@ enum class DiffusionModel {
 /// costs O(new samples), never a full index rebuild.
 class MrrCollection {
  public:
-  /// Generates theta samples over `piece_graphs` (all sharing one social
-  /// graph). Deterministic given `seed`, independent of thread count:
-  /// sample i's randomness is PerSampleSeed(seed, i, piece), so any
-  /// `num_threads` (0 = the GetNumThreads() default, N > 0 = exactly N
-  /// workers) yields bit-identical samples.
+  /// Generates theta <= kMaxTheta samples over `piece_graphs` (all
+  /// sharing one social graph). Deterministic given `seed`, independent
+  /// of thread count: sample i's randomness is PerSampleSeed(seed, i,
+  /// piece), so any `num_threads` (0 = the GetNumThreads() default,
+  /// N > 0 = exactly N workers) yields bit-identical samples.
   /// Under kLinearThreshold, each piece's edge probabilities are first
   /// normalized to LT weights (see diffusion/lt_cascade.h) and RR sets
   /// are reverse live-edge paths; everything downstream (estimators,
@@ -52,7 +59,7 @@ class MrrCollection {
   /// bit-identical to a fresh Generate(new_theta) — at any
   /// `num_threads` (same convention as Generate). CHECK-fails on
   /// collections without sampling provenance (FromParts-built ones with
-  /// extendable() == false).
+  /// extendable() == false) and on new_theta > kMaxTheta.
   void Extend(const std::vector<InfluenceGraph>& piece_graphs,
               int64_t new_theta, int num_threads = 0);
 
@@ -105,14 +112,14 @@ class MrrCollection {
         static_cast<int64_t>(piece) * (num_vertices_ + 1) + v;
     for (const IndexSegment& seg : segments_) {
       if (seg.end_sample <= min_sample) continue;
-      const int64_t* p = seg.samples.data() + seg.offsets[key];
-      const int64_t* end = seg.samples.data() + seg.offsets[key + 1];
-      for (; p != end; ++p) fn(*p);
+      const SampleId* p = seg.samples.data() + seg.offsets[key];
+      const SampleId* end = seg.samples.data() + seg.offsets[key + 1];
+      for (; p != end; ++p) fn(int64_t{*p});
     }
   }
 
   /// Span-granular variant of ForEachSampleContaining: invokes
-  /// fn(std::span<const int64_t>) once per non-empty index segment with
+  /// fn(std::span<const SampleId>) once per non-empty index segment with
   /// the contiguous ascending sample ids of that segment's posting
   /// list, in segment order. Concatenated, the spans are exactly the
   /// ForEachSampleContaining iteration — this is the entry point of the
@@ -125,9 +132,9 @@ class MrrCollection {
         static_cast<int64_t>(piece) * (num_vertices_ + 1) + v;
     for (const IndexSegment& seg : segments_) {
       if (seg.end_sample <= min_sample) continue;
-      const int64_t* p = seg.samples.data() + seg.offsets[key];
-      const int64_t* end = seg.samples.data() + seg.offsets[key + 1];
-      if (p != end) fn(std::span<const int64_t>(p, end));
+      const SampleId* p = seg.samples.data() + seg.offsets[key];
+      const SampleId* end = seg.samples.data() + seg.offsets[key + 1];
+      if (p != end) fn(std::span<const SampleId>(p, end));
     }
   }
 
@@ -171,7 +178,7 @@ class MrrCollection {
     int64_t begin_sample = 0;
     int64_t end_sample = 0;
     std::vector<int64_t> offsets;  // l*(n+1) + 1
-    std::vector<int64_t> samples;
+    std::vector<SampleId> samples;
   };
 
   MrrCollection() = default;

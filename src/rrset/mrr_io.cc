@@ -93,6 +93,11 @@ StatusOr<MrrCollection> ReadCollectionBlob(std::ifstream& in,
       theta < 0 || pieces <= 0 || n < 0) {
     return Status::InvalidArgument(path + ": bad MRR header");
   }
+  if (theta > kMaxTheta) {
+    return Status::InvalidArgument(
+        path + ": theta " + std::to_string(theta) + " exceeds " +
+        std::to_string(kMaxTheta) + " (sample ids are 32-bit)");
+  }
   uint64_t base_seed = 0;
   int32_t model_raw = 0;
   int32_t extendable_raw = 0;

@@ -565,8 +565,9 @@ bool SampleStore::CanGrow() const {
 }
 
 Status SampleStore::Grow(int64_t target_theta) {
-  if (target_theta < 1) {
-    return Status::InvalidArgument("Grow target must be >= 1");
+  if (target_theta < 1 || target_theta > kMaxTheta) {
+    return Status::InvalidArgument("Grow target must be in [1, " +
+                                   std::to_string(kMaxTheta) + "]");
   }
   if (FaultInjector::ShouldFail("store.grow")) {
     return InjectedFault("store.grow");

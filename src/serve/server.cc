@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -269,6 +270,11 @@ void PlanServer::AcceptLoop() {
     write_timeout.tv_usec = (options_.write_timeout_ms % 1000) * 1000;
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &write_timeout,
                  sizeof(write_timeout));
+    // Each response is one complete line sent as soon as it is ready;
+    // Nagle's algorithm would hold a pipelining client's later lines
+    // until the peer's delayed ACK for the earlier ones arrives.
+    const int nodelay = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     MutexLock lock(&mu_);

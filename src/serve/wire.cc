@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "rrset/coverage_kernels.h"
 #include "serve/json_parser.h"
 
 namespace oipa {
@@ -71,6 +72,10 @@ Status ParseDataset(const JsonValue& section, DatasetSpec* spec) {
   spec->seed = static_cast<uint64_t>(seed);
   int64_t ell = spec->ell;
   OIPA_RETURN_IF_ERROR(ReadInt(section, "ell", &ell));
+  if (ell < 1 || ell > kMaxPieces) {
+    return Status::InvalidArgument("dataset.ell must be in [1, " +
+                                   std::to_string(kMaxPieces) + "]");
+  }
   spec->ell = static_cast<int>(ell);
   OIPA_RETURN_IF_ERROR(ReadDouble(section, "alpha", &spec->alpha));
   OIPA_RETURN_IF_ERROR(ReadDouble(section, "beta", &spec->beta));
@@ -91,9 +96,6 @@ Status ParseDataset(const JsonValue& section, DatasetSpec* spec) {
     return Status::InvalidArgument(
         "dataset.pool_fraction must be in (0, 1]");
   }
-  if (spec->ell < 1) {
-    return Status::InvalidArgument("dataset.ell must be >= 1");
-  }
   return Status::Ok();
 }
 
@@ -111,15 +113,21 @@ Status ParseSampling(const JsonValue& section, SamplingSpec* spec) {
   OIPA_RETURN_IF_ERROR(ReadInt(section, "max_theta", &spec->max_theta));
   OIPA_RETURN_IF_ERROR(ReadString(section, "stopping", &spec->stopping));
 
-  if (spec->theta < 1) {
-    return Status::InvalidArgument("sampling.theta must be >= 1");
+  if (spec->theta < 1 || spec->theta > kMaxTheta) {
+    return Status::InvalidArgument("sampling.theta must be in [1, " +
+                                   std::to_string(kMaxTheta) + "]");
+  }
+  if (spec->max_theta > kMaxTheta) {
+    return Status::InvalidArgument("sampling.max_theta must be <= " +
+                                   std::to_string(kMaxTheta));
   }
   if (spec->threads < 0) {
     return Status::InvalidArgument("sampling.threads must be >= 0");
   }
-  if (spec->holdout_theta < -1) {
+  if (spec->holdout_theta < -1 || spec->holdout_theta > kMaxTheta) {
     return Status::InvalidArgument(
-        "sampling.holdout_theta must be >= -1");
+        "sampling.holdout_theta must be in [-1, " +
+        std::to_string(kMaxTheta) + "]");
   }
   if (spec->epsilon < 0.0) {
     return Status::InvalidArgument("sampling.epsilon must be >= 0");

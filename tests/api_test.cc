@@ -11,6 +11,7 @@
 #include "oipa/api/plan_request.h"
 #include "oipa/api/planning_context.h"
 #include "oipa/api/solver_registry.h"
+#include "rrset/coverage_kernels.h"
 #include "topic/prob_models.h"
 #include "util/random.h"
 
@@ -137,6 +138,58 @@ TEST_F(ApiFixture, CreateRejectsBadInputs) {
   auto r4 = PlanningContext::Create(graph_, probs_, wrong_dims,
                                     LogisticAdoptionModel(2.0, 1.0));
   EXPECT_EQ(r4.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(ApiFixture, RejectsCampaignsWiderThanThePieceMask) {
+  // The coverage state holds one kMaxPieces-bit mask per sample; a wider
+  // campaign is an InvalidArgument at both factories, not an abort.
+  Rng rng(37);
+  const Campaign wide = Campaign::SampleUniformPieces(kMaxPieces + 1, 5,
+                                                      &rng);
+  ContextOptions options;
+  options.theta = 10;
+  options.holdout_theta = 0;
+  auto created = PlanningContext::Create(
+      graph_, probs_, std::make_shared<Campaign>(wide),
+      LogisticAdoptionModel(2.0, 1.0), options);
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(created.status().message().find(
+                "at most " + std::to_string(kMaxPieces)),
+            std::string::npos)
+      << created.status().ToString();
+
+  const MrrCollection wide_samples = MrrCollection::Generate(
+      BuildPieceGraphs(*graph_, *probs_, wide), 10, 3);
+  auto borrowed = PlanningContext::BorrowWithSamples(
+      *graph_, *probs_, wide, LogisticAdoptionModel(2.0, 1.0),
+      &wide_samples);
+  EXPECT_EQ(borrowed.status().code(), StatusCode::kInvalidArgument);
+
+  // Exactly kMaxPieces pieces is fine.
+  const Campaign widest = Campaign::SampleUniformPieces(kMaxPieces, 5, &rng);
+  auto ok = PlanningContext::Create(graph_, probs_,
+                                    std::make_shared<Campaign>(widest),
+                                    LogisticAdoptionModel(2.0, 1.0),
+                                    options);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_TRUE(Solve(**ok, Request("bab-p", 2)).ok());
+}
+
+TEST_F(ApiFixture, RejectsThetaBeyondThirtyTwoBitSampleIds) {
+  for (const bool holdout : {false, true}) {
+    ContextOptions options;
+    (holdout ? options.holdout_theta : options.theta) = kMaxTheta + 1;
+    auto r = PlanningContext::Create(graph_, probs_, campaign_,
+                                     LogisticAdoptionModel(2.0, 1.0),
+                                     options);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << holdout;
+  }
+  PlanRequest request = Request("bab-p", 3);
+  request.max_theta = kMaxTheta + 1;
+  EXPECT_EQ(Solve(*context_, request).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(context_->GrowSamples(kMaxTheta + 1).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(ApiFixture, BorrowWithSamplesValidatesShape) {

@@ -250,6 +250,23 @@ TEST(CliDispatchTest, UnknownMethodFailsWithExitCode2) {
   EXPECT_NE(run.err.find("bab-p"), std::string::npos);
 }
 
+TEST(CliDispatchTest, PieceAndThetaLimitsFailWithExitCode2) {
+  // --ell beyond the covered-piece mask and --theta/--max_theta beyond
+  // 32-bit sample ids are flag errors, caught before any sampling.
+  for (const char* flag :
+       {"--ell=33", "--ell=4294967297", "--ell=0", "--theta=2147483648",
+        "--max_theta=2147483648"}) {
+    const CliRun run = InvokeCli(TinyArgs("plan", {flag}));
+    EXPECT_EQ(run.code, 2) << flag;
+    EXPECT_NE(run.err.find(std::string(flag).substr(0, 5)),
+              std::string::npos)
+        << flag << ": " << run.err;
+  }
+  CliConfig config;
+  EXPECT_TRUE(ParseCliConfig(MakeFlags({"plan", "--ell=32"}), &config).ok());
+  EXPECT_EQ(config.ell, 32);
+}
+
 TEST(CliDispatchTest, UnknownStoppingRuleFailsWithExitCode2) {
   // Mirror of the --method behavior: an unknown rule must not silently
   // fall back to the default — exit 2 and name the valid rules.

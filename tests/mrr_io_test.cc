@@ -170,6 +170,28 @@ TEST(MrrIoTest, MalformedOffsetsRejected) {
   std::remove(path.c_str());
 }
 
+TEST(MrrIoTest, ThetaBeyondThirtyTwoBitSampleIdsRejected) {
+  // A header claiming more samples than a 32-bit sample id can name
+  // must come back as a Status before any array is read — never a
+  // CHECK abort in MrrCollection::FromParts.
+  const MrrCollection original = MakeCollection(20, 41);
+  const std::string path = testing::TempDir() + "/mrr_bigtheta.bin";
+  for (const int64_t theta : {kMaxTheta + 1, int64_t{1} << 40}) {
+    ASSERT_TRUE(SaveMrrCollection(original, path).ok());
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    f.seekp(8);  // theta follows the 8-byte magic
+    f.write(reinterpret_cast<const char*>(&theta), sizeof(theta));
+    f.close();
+    auto loaded = LoadMrrCollection(path);
+    ASSERT_FALSE(loaded.ok()) << theta;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("32-bit"), std::string::npos)
+        << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(MrrIoTest, FromPartsBuildsUsableIndex) {
   // Hand-rolled minimal collection: 2 samples, 1 piece, 3 vertices.
   MrrCollection mc = MrrCollection::FromParts(

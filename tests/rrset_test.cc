@@ -523,58 +523,192 @@ TEST_F(CoverageFixture, GainBoundIsForwardValidUnderIncreasingMarginals) {
   (void)gain0;
 }
 
+TEST_F(CoverageFixture, RandomizedOpsKeepMaskEqualToMultiplicities) {
+  // Seeded random walks over every mutation — AddSeed, RemoveSeed,
+  // nested Snapshot/Restore, ExtendToCollection and Clear — checked
+  // after each step against a model rebuilt from scratch: the mask of
+  // sample i must be {j : some active seed of piece j hits R_i^j} (i.e.
+  // multiplicity > 0), and the histogram must count the popcounts.
+  for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SetUp();  // fresh collection and state per walk
+    Rng rng(seed);
+    using Seed = std::pair<int, VertexId>;
+    std::vector<Seed> active;                // duplicates allowed
+    std::vector<std::vector<Seed>> snapshots;  // model at each Snapshot
+    for (int step = 0; step < 250; ++step) {
+      const uint64_t op = rng.Next() % 16;
+      if (op < 7 || active.empty()) {
+        const Seed s{static_cast<int>(rng.Next() % 3),
+                     static_cast<VertexId>(rng.Next() % 30)};
+        state_->AddSeed(s.second, s.first);
+        active.push_back(s);
+      } else if (op < 11) {
+        const size_t k = rng.Next() % active.size();
+        state_->RemoveSeed(active[k].second, active[k].first);
+        active.erase(active.begin() + static_cast<ptrdiff_t>(k));
+      } else if (op < 13) {
+        state_->Snapshot();
+        snapshots.push_back(active);
+      } else if (op < 15) {
+        if (snapshots.empty()) continue;
+        state_->Restore();
+        active = std::move(snapshots.back());
+        snapshots.pop_back();
+      } else if (snapshots.empty()) {
+        if (rng.Next() % 2 == 0 && mrr_->theta() < 4000) {
+          mrr_->Extend(pieces_, mrr_->theta() + 700);
+          state_->ExtendToCollection(active);
+        } else {
+          state_->Clear();
+          active.clear();
+        }
+      }
+
+      std::vector<PieceMask> want(mrr_->theta(), 0);
+      for (const auto& [piece, v] : active) {
+        for (const int64_t i : mrr_->SamplesContaining(piece, v)) {
+          want[i] |= PieceMask{1} << piece;
+        }
+      }
+      std::vector<int64_t> hist(4, 0);
+      double sum = 0.0;
+      const PieceMask* masks = state_->CoveredMasks();
+      for (int64_t i = 0; i < mrr_->theta(); ++i) {
+        ASSERT_EQ(masks[i], want[i])
+            << "seed " << seed << " step " << step << " sample " << i;
+        ASSERT_EQ(state_->CoverCount(i), std::popcount(want[i]));
+        ++hist[std::popcount(want[i])];
+        sum += f_[std::popcount(want[i])];
+      }
+      ASSERT_EQ(state_->CountHistogram(), hist)
+          << "seed " << seed << " step " << step;
+      ASSERT_NEAR(state_->RawSum(), sum, 1e-9);
+    }
+  }
+}
+
+TEST(CoverageStateTest, WidestCampaignUsesTheTopMaskBit) {
+  // kMaxPieces pieces: the last piece owns bit 31 of the mask.
+  const Graph g = GenerateErdosRenyi(12, 0.2, 5);
+  const EdgeTopicProbs probs = AssignWeightedCascadeTopics(g, 2, 2.0, 7);
+  Rng rng(9);
+  const auto pieces = BuildPieceGraphs(
+      g, probs, Campaign::SampleUniformPieces(kMaxPieces, 2, &rng));
+  const MrrCollection mrr = MrrCollection::Generate(pieces, 300, 11);
+  std::vector<double> f(kMaxPieces + 1);
+  for (int c = 0; c <= kMaxPieces; ++c) f[c] = c;
+  CoverageState state(&mrr, f);
+  const int top = kMaxPieces - 1;
+  const std::vector<int64_t> hit = mrr.SamplesContaining(top, 3);
+  ASSERT_FALSE(hit.empty());
+  EXPECT_DOUBLE_EQ(state.GainOfAdding(3, top) / mrr.UtilityScale(),
+                   static_cast<double>(hit.size()));
+  state.AddSeed(3, top);
+  for (const int64_t i : hit) {
+    EXPECT_EQ(state.CoveredMasks()[i], PieceMask{1} << top);
+    EXPECT_TRUE(state.IsCovered(i, top));
+  }
+  EXPECT_EQ(state.CountHistogram()[1], static_cast<int64_t>(hit.size()));
+  EXPECT_DOUBLE_EQ(state.GainOfAdding(3, top), 0.0);
+}
+
+TEST(CoverageStateDeathTest, MorePiecesThanTheMaskHoldsAbort) {
+  const Graph g = GenerateErdosRenyi(8, 0.2, 5);
+  const EdgeTopicProbs probs = AssignWeightedCascadeTopics(g, 2, 2.0, 7);
+  Rng rng(9);
+  const auto pieces = BuildPieceGraphs(
+      g, probs, Campaign::SampleUniformPieces(kMaxPieces + 1, 2, &rng));
+  const MrrCollection mrr = MrrCollection::Generate(pieces, 10, 11);
+  EXPECT_DEATH(CoverageState(&mrr, std::vector<double>(kMaxPieces + 2)),
+               "mask width");
+}
+
 // ----------------------------------------------------- CoverageKernels
 
-// Randomized posting arrays for the kernel equivalence suite: sizes
-// deliberately straddle the SIMD block width (full blocks, a ragged
-// tail, and tiny spans the vector path never touches).
+// Randomized per-sample arrays for the kernel equivalence suite. Masks
+// and line records are arbitrary — including greedy bits on stale
+// records, which BoundEvaluator never produces — because the kernels
+// must agree on every input, not only reachable ones.
 struct KernelArrays {
-  std::vector<int64_t> ids;
-  std::vector<uint16_t> mult;
-  std::vector<uint8_t> cover_count;
-  std::vector<uint32_t> greedy_epoch;
-  std::vector<uint32_t> line_epoch;
-  std::vector<double> line_value;
+  static constexpr int kEll = 3;
+  std::vector<SampleId> ids;
+  std::vector<PieceMask> covered;
+  std::vector<LineRecord> lines;
   std::vector<double> delta_f;
   std::vector<double> delta_f_sufmax;
   std::vector<double> anchor_by_count;
   std::vector<double> slope_by_count;
 
-  KernelArrays(int64_t theta, int ell, uint64_t seed) {
+  KernelArrays(int64_t theta, uint64_t seed) {
     Rng rng(seed);
-    mult.resize(theta);
-    cover_count.resize(theta);
-    greedy_epoch.resize(theta);
-    line_epoch.resize(theta);
-    line_value.resize(theta);
+    covered.resize(theta);
+    lines.resize(theta);
     for (int64_t i = 0; i < theta; ++i) {
-      mult[i] = static_cast<uint16_t>(rng.Next() % 3);  // ~1/3 uncovered
-      cover_count[i] = static_cast<uint8_t>(rng.Next() % (ell + 1));
-      greedy_epoch[i] = static_cast<uint32_t>(rng.Next() % 3);
-      line_epoch[i] = static_cast<uint32_t>(rng.Next() % 3);
-      line_value[i] =
+      covered[i] = static_cast<PieceMask>(rng.Next() % (1u << kEll));
+      lines[i].value =
           static_cast<double>(rng.Next() % 2048) / 1024.0;  // may exceed 1
+      lines[i].epoch = static_cast<uint32_t>(rng.Next() % 3);
+      lines[i].greedy = static_cast<PieceMask>(rng.Next() % (1u << kEll));
     }
     // Non-uniform postings with duplicates and arbitrary order — the
     // kernels must not assume sorted or unique sample ids.
     for (int64_t i = 0; i < theta / 2; ++i) {
-      ids.push_back(static_cast<int64_t>(rng.Next() % theta));
+      ids.push_back(static_cast<SampleId>(rng.Next() % theta));
     }
-    delta_f.resize(ell + 1);
-    delta_f_sufmax.resize(ell + 1);
-    anchor_by_count.resize(ell + 1);
-    slope_by_count.resize(ell + 1);
-    for (int c = 0; c <= ell; ++c) {
+    delta_f.resize(kEll + 1);
+    delta_f_sufmax.resize(kEll + 1);
+    anchor_by_count.resize(kEll + 1);
+    slope_by_count.resize(kEll + 1);
+    for (int c = 0; c <= kEll; ++c) {
       delta_f[c] = static_cast<double>(rng.Next() % 1000) / 997.0;
       anchor_by_count[c] = static_cast<double>(rng.Next() % 1500) / 1024.0;
       slope_by_count[c] = static_cast<double>(rng.Next() % 1000) / 1024.0;
     }
     delta_f.back() = 0.0;  // the padded "fully covered" entry
     double run = 0.0;
-    for (int c = ell; c >= 0; --c) {
+    for (int c = kEll; c >= 0; --c) {
       run = std::max(run, delta_f[c]);
       delta_f_sufmax[c] = run;
     }
+  }
+
+  double Gain(std::span<const SampleId> span, int piece, double acc,
+              bool scalar) const {
+    return (scalar ? CoverageGainSumScalar : CoverageGainSum)(
+        span, covered.data(), piece, delta_f.data(), acc);
+  }
+  std::pair<double, double> GainBound(std::span<const SampleId> span,
+                                      int piece, double gain, double bound,
+                                      bool scalar) const {
+    (scalar ? CoverageGainBoundSumScalar : CoverageGainBoundSum)(
+        span, covered.data(), piece, delta_f.data(), delta_f_sufmax.data(),
+        &gain, &bound);
+    return {gain, bound};
+  }
+  double Tangent(std::span<const SampleId> span, int piece, uint32_t epoch,
+                 double acc, bool scalar) const {
+    return (scalar ? TangentGainSumScalar : TangentGainSum)(
+        span, covered.data(), piece, lines.data(), epoch,
+        anchor_by_count.data(), slope_by_count.data(), acc);
+  }
+
+  /// The historical skip-and-add CandidateGain loop, written out per
+  /// posting with explicit branches.
+  double TangentReference(std::span<const SampleId> span, int piece,
+                          uint32_t epoch) const {
+    double acc = 0.0;
+    for (const SampleId id : span) {
+      if ((covered[id] >> piece & 1) != 0) continue;
+      const LineRecord& line = lines[id];
+      const bool fresh = line.epoch == epoch;
+      if (fresh && (line.greedy >> piece & 1) != 0) continue;
+      const int c = std::popcount(covered[id]);
+      const double lv = fresh ? line.value : anchor_by_count[c];
+      const double headroom = 1.0 - lv;
+      if (headroom <= 0.0) continue;
+      acc += std::min(slope_by_count[c], headroom);
+    }
+    return acc;
   }
 };
 
@@ -582,6 +716,16 @@ struct KernelArrays {
 // comparing the bit patterns also distinguishes -0.0 from +0.0 — the
 // accumulators must never produce a negative zero.
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(CoverageKernelsTest, CoveredCountIsPopcount) {
+  Rng rng(5);
+  for (int k = 0; k < 10000; ++k) {
+    const auto m = static_cast<PieceMask>(rng.Next());
+    ASSERT_EQ(CoveredCount(m), std::popcount(m)) << m;
+  }
+  EXPECT_EQ(CoveredCount(0), 0);
+  EXPECT_EQ(CoveredCount(~PieceMask{0}), kMaxPieces);
+}
 
 TEST(CoverageKernelsTest, DispatchedKernelsMatchScalarBitForBit) {
   // Spans: empty, singleton, sub-block, exactly one block, block+tail,
@@ -591,38 +735,30 @@ TEST(CoverageKernelsTest, DispatchedKernelsMatchScalarBitForBit) {
   // degenerates to a tautology — CI's release leg covers the real case.
   for (const int64_t span : {0, 1, 37, 128, 131, 1000}) {
     for (const uint64_t seed : {7u, 21u, 63u}) {
-      KernelArrays a(std::max<int64_t>(span, 1), 3, seed ^ span);
-      const std::span<const int64_t> ids(a.ids.data(),
-                                         std::min<size_t>(span, a.ids.size()));
+      const KernelArrays a(std::max<int64_t>(span, 1), seed ^ span);
+      const std::span<const SampleId> ids(
+          a.ids.data(), std::min<size_t>(span, a.ids.size()));
       const double acc = 0.625;  // nonzero carried-in accumulator
+      for (int piece = 0; piece < KernelArrays::kEll; ++piece) {
+        const double gain_simd = a.Gain(ids, piece, acc, false);
+        EXPECT_EQ(Bits(gain_simd), Bits(a.Gain(ids, piece, acc, true)))
+            << span << "/" << seed << "/" << piece;
 
-      const double gain_simd = CoverageGainSum(
-          ids, a.mult.data(), a.cover_count.data(), a.delta_f.data(), acc);
-      const double gain_ref = CoverageGainSumScalar(
-          ids, a.mult.data(), a.cover_count.data(), a.delta_f.data(), acc);
-      EXPECT_EQ(Bits(gain_simd), Bits(gain_ref)) << span << "/" << seed;
+        const auto [g1, b1] = a.GainBound(ids, piece, acc, acc, false);
+        const auto [g2, b2] = a.GainBound(ids, piece, acc, acc, true);
+        EXPECT_EQ(Bits(g1), Bits(g2)) << span << "/" << seed;
+        EXPECT_EQ(Bits(b1), Bits(b2)) << span << "/" << seed;
+        EXPECT_EQ(Bits(g1), Bits(gain_simd)) << "gain paths diverged";
 
-      double g1 = acc, b1 = acc, g2 = acc, b2 = acc;
-      CoverageGainBoundSum(ids, a.mult.data(), a.cover_count.data(),
-                           a.delta_f.data(), a.delta_f_sufmax.data(), &g1,
-                           &b1);
-      CoverageGainBoundSumScalar(ids, a.mult.data(), a.cover_count.data(),
-                                 a.delta_f.data(), a.delta_f_sufmax.data(),
-                                 &g2, &b2);
-      EXPECT_EQ(Bits(g1), Bits(g2)) << span << "/" << seed;
-      EXPECT_EQ(Bits(b1), Bits(b2)) << span << "/" << seed;
-      EXPECT_EQ(Bits(g1), Bits(gain_simd)) << "gain paths diverged";
-
-      for (const uint32_t epoch : {0u, 1u, 2u}) {
-        const double t1 = TangentGainSum(
-            ids, a.mult.data(), a.greedy_epoch.data(), epoch,
-            a.line_epoch.data(), a.line_value.data(), a.cover_count.data(),
-            a.anchor_by_count.data(), a.slope_by_count.data(), acc);
-        const double t2 = TangentGainSumScalar(
-            ids, a.mult.data(), a.greedy_epoch.data(), epoch,
-            a.line_epoch.data(), a.line_value.data(), a.cover_count.data(),
-            a.anchor_by_count.data(), a.slope_by_count.data(), acc);
-        EXPECT_EQ(Bits(t1), Bits(t2)) << span << "/" << seed << "@" << epoch;
+        for (const uint32_t epoch : {0u, 1u, 2u}) {
+          const double t1 = a.Tangent(ids, piece, epoch, acc, false);
+          const double t2 = a.Tangent(ids, piece, epoch, acc, true);
+          EXPECT_EQ(Bits(t1), Bits(t2))
+              << span << "/" << seed << "/" << piece << "@" << epoch;
+          EXPECT_EQ(Bits(a.Tangent(ids, piece, epoch, 0.0, false)),
+                    Bits(a.TangentReference(ids, piece, epoch)))
+              << span << "/" << seed << "/" << piece << "@" << epoch;
+        }
       }
     }
   }
@@ -633,19 +769,79 @@ TEST(CoverageKernelsTest, AccumulatorCarriesAcrossSplitSpans) {
   // accumulator must reproduce the unsplit sum exactly — the property
   // that makes grown (segmented) collections bit-identical to fresh
   // ones.
-  KernelArrays a(500, 3, 11);
-  const std::span<const int64_t> all(a.ids);
-  const double whole = CoverageGainSum(all, a.mult.data(),
-                                       a.cover_count.data(),
-                                       a.delta_f.data(), 0.0);
-  for (const size_t cut : {size_t{1}, size_t{100}, size_t{128}, size_t{200}}) {
-    const double head = CoverageGainSum(all.subspan(0, cut), a.mult.data(),
-                                        a.cover_count.data(),
-                                        a.delta_f.data(), 0.0);
-    const double chained = CoverageGainSum(all.subspan(cut), a.mult.data(),
-                                           a.cover_count.data(),
-                                           a.delta_f.data(), head);
-    EXPECT_EQ(Bits(chained), Bits(whole)) << "cut at " << cut;
+  const KernelArrays a(500, 11);
+  const std::span<const SampleId> all(a.ids);
+  for (const bool scalar : {false, true}) {
+    for (int piece = 0; piece < KernelArrays::kEll; ++piece) {
+      const double whole = a.Gain(all, piece, 0.0, scalar);
+      const auto whole_gb = a.GainBound(all, piece, 0.0, 0.0, scalar);
+      const double whole_t = a.Tangent(all, piece, 1, 0.0, scalar);
+      for (const size_t cut : {1, 100, 128, 200}) {
+        const auto head = all.subspan(0, cut);
+        const auto tail = all.subspan(cut);
+        EXPECT_EQ(Bits(a.Gain(tail, piece, a.Gain(head, piece, 0.0, scalar),
+                              scalar)),
+                  Bits(whole))
+            << "cut at " << cut;
+        const auto [hg, hb] = a.GainBound(head, piece, 0.0, 0.0, scalar);
+        const auto chained = a.GainBound(tail, piece, hg, hb, scalar);
+        EXPECT_EQ(Bits(chained.first), Bits(whole_gb.first));
+        EXPECT_EQ(Bits(chained.second), Bits(whole_gb.second));
+        EXPECT_EQ(Bits(a.Tangent(tail, piece, 1,
+                                 a.Tangent(head, piece, 1, 0.0, scalar),
+                                 scalar)),
+                  Bits(whole_t))
+            << "cut at " << cut;
+      }
+    }
+  }
+}
+
+TEST(CoverageKernelsTest, GrownCollectionSumsBitIdenticalToFresh) {
+  // A collection grown in three steps has three index segments, so each
+  // posting list arrives as up to three spans; chained through the
+  // accumulator they must sum exactly like the one-segment collection,
+  // on both sides of the dispatch seam.
+  const Graph g = GenerateErdosRenyi(30, 0.1, 17);
+  const EdgeTopicProbs probs = AssignWeightedCascadeTopics(g, 6, 2.0, 19);
+  Rng rng(21);
+  const auto pieces = BuildPieceGraphs(
+      g, probs, Campaign::SampleUniformPieces(KernelArrays::kEll, 6, &rng));
+  MrrCollection grown = MrrCollection::Generate(pieces, 400, 23);
+  grown.Extend(pieces, 1000);
+  grown.Extend(pieces, 1500);
+  const MrrCollection fresh = MrrCollection::Generate(pieces, 1500, 23);
+  ASSERT_EQ(grown.num_index_segments(), 3);
+
+  const KernelArrays a(1500, 31);
+  for (int piece = 0; piece < KernelArrays::kEll; ++piece) {
+    for (VertexId v = 0; v < 30; ++v) {
+      for (const bool scalar : {false, true}) {
+        double gain_grown = 0.0, gain_fresh = 0.0;
+        double tangent_grown = 0.0, tangent_fresh = 0.0;
+        std::pair<double, double> gb_grown{0.0, 0.0}, gb_fresh{0.0, 0.0};
+        int spans = 0;
+        grown.ForEachSampleSpan(piece, v, [&](std::span<const SampleId> s) {
+          ++spans;
+          gain_grown = a.Gain(s, piece, gain_grown, scalar);
+          gb_grown = a.GainBound(s, piece, gb_grown.first, gb_grown.second,
+                                 scalar);
+          tangent_grown = a.Tangent(s, piece, 2, tangent_grown, scalar);
+        });
+        fresh.ForEachSampleSpan(piece, v, [&](std::span<const SampleId> s) {
+          gain_fresh = a.Gain(s, piece, gain_fresh, !scalar);
+          gb_fresh = a.GainBound(s, piece, gb_fresh.first, gb_fresh.second,
+                                 !scalar);
+          tangent_fresh = a.Tangent(s, piece, 2, tangent_fresh, !scalar);
+        });
+        EXPECT_LE(spans, 3);
+        EXPECT_EQ(Bits(gain_grown), Bits(gain_fresh)) << piece << "," << v;
+        EXPECT_EQ(Bits(gb_grown.first), Bits(gb_fresh.first));
+        EXPECT_EQ(Bits(gb_grown.second), Bits(gb_fresh.second));
+        EXPECT_EQ(Bits(tangent_grown), Bits(tangent_fresh))
+            << piece << "," << v;
+      }
+    }
   }
 }
 

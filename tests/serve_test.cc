@@ -116,6 +116,12 @@ TEST(WireTest, RejectsOutOfDomainFields) {
            R"({"dataset":{"n":0}})",
            R"({"dataset":{"pool_fraction":0.0}})",
            R"({"sampling":{"theta":0}})",
+           R"({"sampling":{"theta":2147483648}})",
+           R"({"sampling":{"holdout_theta":2147483648}})",
+           R"({"sampling":{"max_theta":2147483648}})",
+           R"({"dataset":{"ell":0}})",
+           R"({"dataset":{"ell":33}})",
+           R"({"dataset":{"ell":4294967297}})",
            R"({"sampling":{"epsilon":-0.1}})",
            R"({"sampling":{"stopping":"never"}})",
            R"({"plan":{"budgets":[]}})",
@@ -318,6 +324,26 @@ TEST_F(ServeFixture, MalformedInputGetsStructuredErrorsNotAborts) {
   EXPECT_TRUE(saw_dataset_error);
   EXPECT_TRUE(saw_deadline_error);
   EXPECT_TRUE(saw_solver_not_found);
+}
+
+TEST_F(ServeFixture, OutOfRangePiecesAndThetaGetStructuredErrors) {
+  StartServer({});
+  for (const char* request :
+       {R"({"id":"wide","dataset":{"n":250,"ell":33}})",
+        R"({"id":"huge","sampling":{"theta":2147483648}})"}) {
+    const JsonValue r = Roundtrip(request);
+    ASSERT_FALSE(r.Find("ok")->bool_value()) << r.Dump(-1);
+    const JsonValue* error = r.Find("error");
+    ASSERT_NE(error, nullptr) << r.Dump(-1);
+    EXPECT_EQ(error->Find("code")->string_value(), "InvalidArgument");
+    EXPECT_NE(error->Find("message")->string_value().find("must be in"),
+              std::string::npos)
+        << r.Dump(-1);
+  }
+  // The daemon is still serving.
+  EXPECT_TRUE(Roundtrip(TinyRequest("after", 1, "[2]"))
+                  .Find("ok")
+                  ->bool_value());
 }
 
 TEST_F(ServeFixture, QueuedCompatibleRequestsShareOneSweep) {
