@@ -14,6 +14,12 @@
 // on) and reports the median, min and p90 samples/sec across
 // repetitions.
 //
+// The lastfm legs run from L2. A report-only leg repeats single-threaded
+// generation on dblp at scale 0.1 (50K vertices, 600K edges, 2.4 MB of
+// probabilities per piece), where each examined in-edge can miss the
+// cache, so layout changes to the reverse BFS show up in the
+// trajectory. It has no floor.
+//
 // Emits BENCH_sampling.json (uploaded by CI next to the other bench
 // trajectories). The median samples_per_sec of the single-threaded legs
 // is what scripts/check_perf_regression.py gates against the baseline.
@@ -155,6 +161,36 @@ int main(int argc, char** argv) {
       by_threads.Append(std::move(j));
     }
     result.Set("generate_by_threads", std::move(by_threads));
+  }
+
+  // ------------------------------------ cache-bound generation (no floor)
+  {
+    constexpr double kCacheBoundScale = 0.1;
+    BenchScales scales;
+    scales.dblp = kCacheBoundScale;
+    const BenchEnv dblp = MakeEnv("dblp", scales, ell, theta, 13);
+    const LegStats stats = measure([&] {
+      WallTimer timer;
+      const MrrCollection fresh = MrrCollection::Generate(
+          dblp.pieces, theta, 29, DiffusionModel::kIndependentCascade, 1);
+      return std::pair<double, double>(static_cast<double>(theta),
+                                       timer.Seconds());
+    });
+    JsonValue j = leg_json(stats);
+    j.Set("dataset", "dblp")
+        .Set("scale", kCacheBoundScale)
+        .Set("vertices", static_cast<int64_t>(
+                             dblp.dataset.graph->num_vertices()))
+        .Set("edges", dblp.dataset.graph->num_edges())
+        .Set("threads", 1)
+        .Set("samples", theta);
+    std::printf(
+        "generate[dblp %.2f, threads=1]: %lld samples x %lld runs x %d "
+        "reps: median %.0f samples/s (min %.0f, p90 %.0f)\n",
+        kCacheBoundScale, static_cast<long long>(theta),
+        static_cast<long long>(stats.runs_per_repetition),
+        stats.repetitions, stats.median, stats.min, stats.p90);
+    result.Set("generate_cache_bound", std::move(j));
   }
 
   // ----------------------------------------------------- growth throughput

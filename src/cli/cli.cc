@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <csignal>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -576,6 +577,25 @@ int RunServe(const CliConfig& c, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
+/// Widest --indent: a typo must not multiply the output size.
+constexpr int kMaxIndent = 64;
+
+/// Reads integer flag `key` into `*out` (kept when the flag is absent),
+/// rejecting values outside [lo, hi] before they are narrowed to int.
+Status GetIntFlag(const FlagParser& flags, const std::string& key,
+                  int64_t lo, int64_t hi, int* out) {
+  const int64_t value = flags.GetInt(key, *out);
+  if (value < lo || value > hi) {
+    const std::string range =
+        lo == std::numeric_limits<int>::min()
+            ? "<= " + std::to_string(hi)
+            : "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    return Status::InvalidArgument("--" + key + " must be " + range);
+  }
+  *out = static_cast<int>(value);
+  return Status::Ok();
+}
+
 }  // namespace
 
 // --------------------------------------------------------------- parsing
@@ -594,6 +614,7 @@ Status ParseBoundVariant(const std::string& name, BoundVariant* out) {
 }
 
 Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
   CliConfig c;
   if (flags.positional().empty()) {
     return Status::InvalidArgument("missing subcommand");
@@ -613,14 +634,16 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
         "' (expected synthetic|lastfm|dblp|tweet)");
   }
   c.n = flags.GetInt("n", c.n);
-  c.num_topics = static_cast<int>(flags.GetInt("topics", c.num_topics));
+  OIPA_RETURN_IF_ERROR(
+      GetIntFlag(flags, "topics", 1, kIntMax, &c.num_topics));
   c.scale = flags.GetDouble("scale", c.scale);
   c.pool_fraction = flags.GetDouble("pool_fraction", c.pool_fraction);
 
   c.learn = flags.GetBool("learn", c.learn);
-  c.cascades = static_cast<int>(flags.GetInt("cascades", c.cascades));
-  c.em_iterations =
-      static_cast<int>(flags.GetInt("em_iterations", c.em_iterations));
+  OIPA_RETURN_IF_ERROR(
+      GetIntFlag(flags, "cascades", 1, kIntMax, &c.cascades));
+  OIPA_RETURN_IF_ERROR(
+      GetIntFlag(flags, "em_iterations", 1, kIntMax, &c.em_iterations));
 
   c.progressive = flags.GetBool("progressive", c.progressive);
   c.method = flags.GetString("method", c.method);
@@ -634,7 +657,7 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
     return SolverRegistry::Global().Find(c.method).status();
   }
 
-  c.k = static_cast<int>(flags.GetInt("k", c.k));
+  OIPA_RETURN_IF_ERROR(GetIntFlag(flags, "k", 1, kIntMax, &c.k));
   const int64_t ell = flags.GetInt("ell", c.ell);
   if (ell < 1 || ell > kMaxPieces) {
     return Status::InvalidArgument("--ell must be in [1, " +
@@ -655,29 +678,30 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
   c.max_nodes = flags.GetInt("max_nodes", c.max_nodes);
   c.deadline_ms = flags.GetInt("deadline_ms", c.deadline_ms);
   c.server = flags.GetString("server", c.server);
-  c.retries = static_cast<int>(flags.GetInt("retries", c.retries));
+  OIPA_RETURN_IF_ERROR(GetIntFlag(flags, "retries", 0, kIntMax, &c.retries));
   c.timeout_ms = flags.GetInt("timeout_ms", c.timeout_ms);
   c.host = flags.GetString("host", c.host);
-  c.port = static_cast<int>(flags.GetInt("port", c.port));
-  c.workers = static_cast<int>(flags.GetInt("workers", c.workers));
-  c.max_contexts =
-      static_cast<int>(flags.GetInt("max_contexts", c.max_contexts));
+  OIPA_RETURN_IF_ERROR(GetIntFlag(flags, "port", 0, 65535, &c.port));
+  OIPA_RETURN_IF_ERROR(GetIntFlag(flags, "workers", 1, kIntMax, &c.workers));
+  OIPA_RETURN_IF_ERROR(
+      GetIntFlag(flags, "max_contexts", 1, kIntMax, &c.max_contexts));
   c.store_budget_mb = flags.GetInt("store_budget_mb", c.store_budget_mb);
-  c.trials = static_cast<int>(flags.GetInt("trials", c.trials));
+  OIPA_RETURN_IF_ERROR(GetIntFlag(flags, "trials", 1, kIntMax, &c.trials));
   c.k_sweep = flags.GetIntList("k", {c.k});
 
   if (flags.Has("threads")) {
-    c.threads = static_cast<int>(flags.GetInt("threads", 0));
+    // Rejected at parse time: the request layer would refuse the same
+    // value only after the full dataset/sampling pipeline has run.
+    OIPA_RETURN_IF_ERROR(
+        GetIntFlag(flags, "threads", 0, kMaxBabWorkers, &c.threads));
   }
   c.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  c.indent = static_cast<int>(flags.GetInt("indent", c.indent));
+  OIPA_RETURN_IF_ERROR(
+      GetIntFlag(flags, "indent", std::numeric_limits<int>::min(),
+                 kMaxIndent, &c.indent));
   c.output = flags.GetString("output", c.output);
 
   if (c.n < 1) return Status::InvalidArgument("--n must be >= 1");
-  if (c.num_topics < 1) {
-    return Status::InvalidArgument("--topics must be >= 1");
-  }
-  if (c.k < 1) return Status::InvalidArgument("--k must be >= 1");
   if (c.theta < 1 || c.theta > kMaxTheta) {
     return Status::InvalidArgument("--theta must be in [1, " +
                                    std::to_string(kMaxTheta) + "]");
@@ -698,16 +722,11 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
     // default growth cap is fine.
     return Status::InvalidArgument("--max_theta must be >= --theta");
   }
-  if (c.trials < 1) return Status::InvalidArgument("--trials must be >= 1");
-  if (flags.Has("threads") &&
-      (c.threads < 0 || c.threads > kMaxBabWorkers)) {
-    // Rejected at parse time: the request layer would refuse the same
-    // value only after the full dataset/sampling pipeline has run.
-    return Status::InvalidArgument("--threads must be in [0, " +
-                                   std::to_string(kMaxBabWorkers) + "]");
-  }
   for (const int64_t budget : c.k_sweep) {
-    if (budget < 1) return Status::InvalidArgument("--k entries must be >= 1");
+    if (budget < 1 || budget > kIntMax) {
+      return Status::InvalidArgument("--k entries must be in [1, " +
+                                     std::to_string(kIntMax) + "]");
+    }
   }
   if (c.command != "bench" && c.k_sweep.size() > 1) {
     return Status::InvalidArgument(
@@ -722,20 +741,8 @@ Status ParseCliConfig(const FlagParser& flags, CliConfig* config) {
     return Status::InvalidArgument(
         "--server is only supported with the plan subcommand");
   }
-  if (c.retries < 0) {
-    return Status::InvalidArgument("--retries must be >= 0");
-  }
   if (c.timeout_ms < 1) {
     return Status::InvalidArgument("--timeout_ms must be >= 1");
-  }
-  if (c.port < 0 || c.port > 65535) {
-    return Status::InvalidArgument("--port must be in [0, 65535]");
-  }
-  if (c.workers < 1) {
-    return Status::InvalidArgument("--workers must be >= 1");
-  }
-  if (c.max_contexts < 1) {
-    return Status::InvalidArgument("--max_contexts must be >= 1");
   }
   if (c.store_budget_mb < 0) {
     return Status::InvalidArgument("--store_budget_mb must be >= 0");
@@ -814,7 +821,9 @@ std::string UsageString() {
      << "                           budget; a dead daemon errors instead\n"
      << "                           of hanging (120000)\n"
      << "  --seed=<u64>             master RNG seed (1)\n"
-     << "  --indent=<n>             JSON indent; negative = compact (2)\n"
+     << "  --indent=<n>             JSON indent, at most " << kMaxIndent
+     << "; negative = compact\n"
+     << "                           (2)\n"
      << "  --output=<path>          also write the JSON result to a file\n"
      << "\n"
      << "serve flags:\n"

@@ -71,6 +71,10 @@ class Graph {
     return {in_edge_ids_.data() + in_offsets_[v],
             in_edge_ids_.data() + in_offsets_[v + 1]};
   }
+  /// Position of v's first in-edge in the reverse-CSR order, the order
+  /// InNeighbors/InEdgeIds list them in. Per-edge arrays kept in that
+  /// order (InfluenceGraph::InProbs) are sliced with it.
+  int64_t InOffset(VertexId v) const { return in_offsets_[v]; }
 
   int64_t OutDegree(VertexId v) const {
     return out_offsets_[v + 1] - out_offsets_[v];

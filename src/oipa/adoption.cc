@@ -1,7 +1,7 @@
 #include "oipa/adoption.h"
 
 #include "diffusion/cascade.h"
-#include "rrset/coverage_state.h"
+#include "rrset/coverage_kernels.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -11,11 +11,25 @@ double EstimateAdoptionUtility(const MrrCollection& mrr,
                                const LogisticAdoptionModel& model,
                                const AssignmentPlan& plan) {
   OIPA_CHECK_EQ(plan.num_pieces(), mrr.num_pieces());
-  CoverageState state(&mrr, model.AdoptionTable(mrr.num_pieces()));
+  OIPA_CHECK_LE(mrr.num_pieces(), kMaxPieces) << "covered-piece mask width";
+  const std::vector<double> f = model.AdoptionTable(mrr.num_pieces());
+  // Only a sample's covered-piece mask matters: a sum term is added when
+  // a bit first flips, exactly as CoverageState::Cover adds delta_f, in
+  // the same order, so the sum is bit-identical to
+  // CoverageState::Utility() without its multiplicity rows.
+  std::vector<PieceMask> covered(mrr.theta(), 0);
+  double sum = 0.0;
   for (const auto& [piece, v] : plan.Assignments()) {
-    state.AddSeed(v, piece);
+    const PieceMask bit = PieceMask{1} << piece;
+    mrr.ForEachSampleContaining(piece, v, [&](int64_t i) {
+      PieceMask& mask = covered[i];
+      if ((mask & bit) != 0) return;
+      const int c = CoveredCount(mask);
+      sum += f[c + 1] - f[c];
+      mask |= bit;
+    });
   }
-  return state.Utility();
+  return sum * mrr.UtilityScale();
 }
 
 double SimulateAdoptionUtility(const std::vector<InfluenceGraph>& pieces,

@@ -60,10 +60,10 @@ BaselineResult TimBaseline(const Graph& graph, const EdgeTopicProbs& probs,
   OIPA_CHECK_EQ(campaign.num_pieces(), mrr.num_pieces());
   // One IM run per piece on that piece's influence graph.
   std::vector<std::vector<VertexId>> per_piece(campaign.num_pieces());
+  const std::vector<InfluenceGraph> pieces =
+      BuildPieceGraphs(graph, probs, campaign);
   for (int j = 0; j < campaign.num_pieces(); ++j) {
-    const InfluenceGraph ig =
-        InfluenceGraph::ForPiece(graph, probs, campaign.piece(j).topics);
-    RrCollection rr = RrCollection::Generate(ig, theta, seed + j + 1);
+    RrCollection rr = RrCollection::Generate(pieces[j], theta, seed + j + 1);
     per_piece[j] = CelfMaxCover(rr, k, pool).seeds;
   }
   BaselineResult result = BestSinglePieceAssignment(mrr, model, per_piece);

@@ -22,26 +22,27 @@ void RrSampler::Sample(const InfluenceGraph& ig, VertexId root, Rng* rng,
     epoch_ = 1;
   }
 
-  queue_.clear();
+  // A local copy keeps the generator state in registers across the
+  // loop; `rng` ends in the same state as if drawn from directly.
+  Rng local = *rng;
+  // The members in visit order are the BFS queue itself.
   visit_epoch_[root] = epoch_;
-  queue_.push_back(root);
   out->push_back(root);
-  size_t head = 0;
-  while (head < queue_.size()) {
-    const VertexId u = queue_[head++];
+  for (size_t head = 0; head < out->size(); ++head) {
+    const VertexId u = (*out)[head];
     const auto nbrs = g.InNeighbors(u);
-    const auto eids = g.InEdgeIds(u);
+    const float* probs = ig.InProbs(u).data();
     for (size_t i = 0; i < nbrs.size(); ++i) {
       const VertexId w = nbrs[i];
       if (visit_epoch_[w] == epoch_) continue;
-      const float p = ig.EdgeProb(eids[i]);
-      if (p > 0.0f && rng->NextFloat() < p) {
+      const float p = probs[i];
+      if (p > 0.0f && local.NextFloat() < p) {
         visit_epoch_[w] = epoch_;
-        queue_.push_back(w);
         out->push_back(w);
       }
     }
   }
+  *rng = local;
 }
 
 uint64_t PerSampleSeed(uint64_t base_seed, int64_t sample, int piece) {

@@ -23,14 +23,17 @@ class RrSampler {
   /// Samples the RR set of `root` on `ig`, appending members (root
   /// included) to `out` (cleared first). Edge (u -> v) is considered live
   /// with probability ig.EdgeProb(e) — evaluated lazily during the reverse
-  /// BFS, which is equivalent to sampling the world up front.
+  /// BFS, which is equivalent to sampling the world up front. The BFS
+  /// reads each visited vertex's in-neighbors and their probabilities as
+  /// two parallel streams (ig.InProbs), with no per-edge EdgeId gather;
+  /// one RNG draw is made per examined edge that is unvisited and has
+  /// p > 0, in in-edge order.
   void Sample(const InfluenceGraph& ig, VertexId root, Rng* rng,
               std::vector<VertexId>* out);
 
  private:
   std::vector<uint32_t> visit_epoch_;
   uint32_t epoch_ = 0;
-  std::vector<VertexId> queue_;
 };
 
 /// Derives the deterministic per-sample RNG seed used by the collection

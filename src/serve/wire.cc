@@ -1,6 +1,7 @@
 #include "serve/wire.h"
 
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "rrset/coverage_kernels.h"
@@ -9,6 +10,8 @@
 namespace oipa {
 namespace serve {
 namespace {
+
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
 
 /// Typed field readers: each returns InvalidArgument naming the key on
 /// a type mismatch and leaves `*out` untouched when the key is absent
@@ -37,6 +40,22 @@ Status ReadInt(const JsonValue& obj, const std::string& key,
   return Status::Ok();
 }
 
+/// ReadInt for an int field: values outside [lo, hi] are rejected
+/// before they are narrowed. `name` is the field's path in messages.
+Status ReadIntIn(const JsonValue& obj, const std::string& key,
+                 const std::string& name, int64_t lo, int64_t hi,
+                 int* out) {
+  int64_t value = *out;
+  OIPA_RETURN_IF_ERROR(ReadInt(obj, key, &value));
+  if (value < lo || value > hi) {
+    return Status::InvalidArgument(name + " must be in [" +
+                                   std::to_string(lo) + ", " +
+                                   std::to_string(hi) + "]");
+  }
+  *out = static_cast<int>(value);
+  return Status::Ok();
+}
+
 Status ReadDouble(const JsonValue& obj, const std::string& key,
                   double* out) {
   const JsonValue* v = obj.Find(key);
@@ -61,22 +80,16 @@ Status ReadSection(const JsonValue& root, const std::string& key,
 Status ParseDataset(const JsonValue& section, DatasetSpec* spec) {
   OIPA_RETURN_IF_ERROR(ReadString(section, "name", &spec->name));
   OIPA_RETURN_IF_ERROR(ReadInt(section, "n", &spec->n));
-  int64_t topics = spec->num_topics;
-  OIPA_RETURN_IF_ERROR(ReadInt(section, "topics", &topics));
-  spec->num_topics = static_cast<int>(topics);
+  OIPA_RETURN_IF_ERROR(ReadIntIn(section, "topics", "dataset.topics", 1,
+                                 kIntMax, &spec->num_topics));
   OIPA_RETURN_IF_ERROR(ReadDouble(section, "scale", &spec->scale));
   OIPA_RETURN_IF_ERROR(
       ReadDouble(section, "pool_fraction", &spec->pool_fraction));
   int64_t seed = static_cast<int64_t>(spec->seed);
   OIPA_RETURN_IF_ERROR(ReadInt(section, "seed", &seed));
   spec->seed = static_cast<uint64_t>(seed);
-  int64_t ell = spec->ell;
-  OIPA_RETURN_IF_ERROR(ReadInt(section, "ell", &ell));
-  if (ell < 1 || ell > kMaxPieces) {
-    return Status::InvalidArgument("dataset.ell must be in [1, " +
-                                   std::to_string(kMaxPieces) + "]");
-  }
-  spec->ell = static_cast<int>(ell);
+  OIPA_RETURN_IF_ERROR(
+      ReadIntIn(section, "ell", "dataset.ell", 1, kMaxPieces, &spec->ell));
   OIPA_RETURN_IF_ERROR(ReadDouble(section, "alpha", &spec->alpha));
   OIPA_RETURN_IF_ERROR(ReadDouble(section, "beta", &spec->beta));
 
@@ -86,9 +99,6 @@ Status ParseDataset(const JsonValue& section, DatasetSpec* spec) {
                                    "' (synthetic|lastfm|dblp|tweet)");
   }
   if (spec->n < 1) return Status::InvalidArgument("dataset.n must be >= 1");
-  if (spec->num_topics < 1) {
-    return Status::InvalidArgument("dataset.topics must be >= 1");
-  }
   if (spec->scale <= 0.0 || spec->scale > 1.0) {
     return Status::InvalidArgument("dataset.scale must be in (0, 1]");
   }
@@ -106,9 +116,8 @@ Status ParseSampling(const JsonValue& section, SamplingSpec* spec) {
   int64_t seed = static_cast<int64_t>(spec->seed);
   OIPA_RETURN_IF_ERROR(ReadInt(section, "seed", &seed));
   spec->seed = static_cast<uint64_t>(seed);
-  int64_t threads = spec->threads;
-  OIPA_RETURN_IF_ERROR(ReadInt(section, "threads", &threads));
-  spec->threads = static_cast<int>(threads);
+  OIPA_RETURN_IF_ERROR(ReadIntIn(section, "threads", "sampling.threads", 0,
+                                 kIntMax, &spec->threads));
   OIPA_RETURN_IF_ERROR(ReadDouble(section, "epsilon", &spec->epsilon));
   OIPA_RETURN_IF_ERROR(ReadInt(section, "max_theta", &spec->max_theta));
   OIPA_RETURN_IF_ERROR(ReadString(section, "stopping", &spec->stopping));
@@ -120,9 +129,6 @@ Status ParseSampling(const JsonValue& section, SamplingSpec* spec) {
   if (spec->max_theta > kMaxTheta) {
     return Status::InvalidArgument("sampling.max_theta must be <= " +
                                    std::to_string(kMaxTheta));
-  }
-  if (spec->threads < 0) {
-    return Status::InvalidArgument("sampling.threads must be >= 0");
   }
   if (spec->holdout_theta < -1 || spec->holdout_theta > kMaxTheta) {
     return Status::InvalidArgument(
@@ -145,9 +151,8 @@ Status ParsePlan(const JsonValue& section, PlanSpec* spec) {
   OIPA_RETURN_IF_ERROR(ReadDouble(section, "epsilon", &spec->epsilon));
   OIPA_RETURN_IF_ERROR(ReadString(section, "bound", &spec->bound));
   OIPA_RETURN_IF_ERROR(ReadInt(section, "max_nodes", &spec->max_nodes));
-  int64_t threads = spec->threads;
-  OIPA_RETURN_IF_ERROR(ReadInt(section, "threads", &threads));
-  spec->threads = static_cast<int>(threads);
+  OIPA_RETURN_IF_ERROR(ReadIntIn(section, "threads", "plan.threads", 0,
+                                 kIntMax, &spec->threads));
   int64_t seed = static_cast<int64_t>(spec->seed);
   OIPA_RETURN_IF_ERROR(ReadInt(section, "seed", &seed));
   spec->seed = static_cast<uint64_t>(seed);
@@ -170,9 +175,11 @@ Status ParsePlan(const JsonValue& section, PlanSpec* spec) {
     }
     spec->budgets.clear();
     for (size_t i = 0; i < v->size(); ++i) {
-      if (!v->at(i).is_int() || v->at(i).int_value() < 1) {
+      if (!v->at(i).is_int() || v->at(i).int_value() < 1 ||
+          v->at(i).int_value() > kIntMax) {
         return Status::InvalidArgument(
-            "field 'budgets' must hold integers >= 1");
+            "field 'budgets' must hold integers in [1, " +
+            std::to_string(kIntMax) + "]");
       }
       spec->budgets.push_back(static_cast<int>(v->at(i).int_value()));
     }
@@ -196,9 +203,6 @@ Status ParsePlan(const JsonValue& section, PlanSpec* spec) {
   }
   if (spec->max_nodes < 1) {
     return Status::InvalidArgument("plan.max_nodes must be >= 1");
-  }
-  if (spec->threads < 0) {
-    return Status::InvalidArgument("plan.threads must be >= 0");
   }
   return Status::Ok();
 }

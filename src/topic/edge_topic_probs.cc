@@ -47,8 +47,13 @@ double EdgeTopicProbs::Prob(EdgeId e, int topic) const {
 
 double EdgeTopicProbs::PieceProb(EdgeId e, const TopicVector& piece) const {
   OIPA_CHECK_EQ(piece.num_topics(), num_topics_);
+  return PieceProb(EdgeEntries(e), piece);
+}
+
+double EdgeTopicProbs::PieceProb(std::span<const TopicProb> entries,
+                                 const TopicVector& piece) {
   double p = 0.0;
-  for (const TopicProb& tp : EdgeEntries(e)) {
+  for (const TopicProb& tp : entries) {
     p += piece[tp.topic] * static_cast<double>(tp.prob);
   }
   return std::clamp(p, 0.0, 1.0);

@@ -49,6 +49,11 @@ class EdgeTopicProbs {
   /// clamped to [0, 1].
   double PieceProb(EdgeId e, const TopicVector& piece) const;
 
+  /// PieceProb over one edge's entries, for callers that checked the
+  /// piece's topic count once for many edges.
+  static double PieceProb(std::span<const TopicProb> entries,
+                          const TopicVector& piece);
+
   /// Topic-blind probability: mean of p(e|z) over all |Z| topics (zeros
   /// included). This is the edge weight the topic-agnostic IM baseline
   /// sees.

@@ -1,6 +1,7 @@
 #ifndef OIPA_TOPIC_INFLUENCE_GRAPH_H_
 #define OIPA_TOPIC_INFLUENCE_GRAPH_H_
 
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -13,6 +14,12 @@ namespace oipa {
 /// probability per edge. This is what a single viral piece "sees": the
 /// topic-aware model collapses to p(t, e) = t . p(e) for a piece t
 /// (Section III-A of the paper).
+///
+/// The probabilities are stored twice: in EdgeId order for the forward
+/// users (cascades, LT weights, heuristics) and in the graph's in-edge
+/// (reverse-CSR) order, so the reverse BFS of RR sampling reads them as
+/// a contiguous stream beside InNeighbors instead of gathering one
+/// EdgeId-indexed float per examined edge.
 class InfluenceGraph {
  public:
   InfluenceGraph(const Graph* graph, std::vector<float> edge_probs);
@@ -37,9 +44,32 @@ class InfluenceGraph {
   float EdgeProb(EdgeId e) const { return edge_probs_[e]; }
   const std::vector<float>& edge_probs() const { return edge_probs_; }
 
+  /// Probabilities of v's in-edges, parallel to graph().InNeighbors(v):
+  /// InProbs(v)[i] == EdgeProb(graph().InEdgeIds(v)[i]).
+  std::span<const float> InProbs(VertexId v) const {
+    return {in_probs_.data() + graph_->InOffset(v),
+            static_cast<size_t>(graph_->InDegree(v))};
+  }
+
  private:
+  /// Tag for probabilities already known to lie in [0, 1] (collapses).
+  struct Trusted {};
+  /// Derives the in-edge-order copy; the public constructor adds the
+  /// range check.
+  InfluenceGraph(const Graph* graph, std::vector<float> edge_probs, Trusted);
+
+  /// ForPiece for every entry of `pieces`, in one pass over the edges.
+  static std::vector<InfluenceGraph> ForPieces(
+      const Graph& graph, const EdgeTopicProbs& probs,
+      const std::vector<const TopicVector*>& pieces);
+
+  friend std::vector<InfluenceGraph> BuildPieceGraphs(
+      const Graph& graph, const EdgeTopicProbs& probs,
+      const Campaign& campaign);
+
   const Graph* graph_;  // not owned
-  std::vector<float> edge_probs_;
+  std::vector<float> edge_probs_;  // EdgeId order
+  std::vector<float> in_probs_;    // reverse-CSR order
 };
 
 /// Builds one InfluenceGraph per campaign piece. The returned graphs alias

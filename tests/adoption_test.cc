@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "graph/generators.h"
 #include "oipa/adoption.h"
 #include "oipa/assignment_plan.h"
+#include "rrset/coverage_state.h"
 #include "rrset/mrr_collection.h"
 #include "tests/paper_example.h"
 #include "topic/prob_models.h"
@@ -208,6 +210,35 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(10, 0.15, 3),
                       std::make_tuple(12, 0.1, 2),
                       std::make_tuple(6, 0.4, 4)));
+
+TEST(EstimatorTest, MaskEstimateIsBitIdenticalToCoverageState) {
+  // EstimateAdoptionUtility keeps only covered-piece masks; replaying the
+  // same plan through CoverageState must give the same bits. Vertices are
+  // drawn from a small range, so a vertex is often seeded on several
+  // pieces and seeds of one piece often cover the same samples.
+  const Graph g = GenerateHolmeKim(300, 3, 0.4, 61);
+  const EdgeTopicProbs probs = AssignWeightedCascadeTopics(g, 5, 2.0, 67);
+  Rng rng(71);
+  const int ell = 4;
+  const Campaign campaign = Campaign::SampleUniformPieces(ell, 5, &rng);
+  const MrrCollection mrr =
+      MrrCollection::Generate(BuildPieceGraphs(g, probs, campaign), 5000, 73);
+  const LogisticAdoptionModel model(2.0, 1.0);
+  for (int round = 0; round < 25; ++round) {
+    AssignmentPlan plan(ell);
+    const int size = 1 + static_cast<int>(rng.NextBounded(30));
+    for (int s = 0; s < size; ++s) {
+      plan.Add(static_cast<int>(rng.NextBounded(ell)),
+               static_cast<VertexId>(rng.NextBounded(20)));
+    }
+    CoverageState state(&mrr, model.AdoptionTable(ell));
+    for (const auto& [piece, v] : plan.Assignments()) state.AddSeed(v, piece);
+    const double masked = EstimateAdoptionUtility(mrr, model, plan);
+    const double reference = state.Utility();
+    EXPECT_EQ(std::memcmp(&masked, &reference, sizeof(double)), 0)
+        << "round " << round << ": " << masked << " vs " << reference;
+  }
+}
 
 TEST(EstimatorTest, EmptyPlanIsZero) {
   const PaperExample ex;

@@ -267,6 +267,38 @@ TEST(CliDispatchTest, PieceAndThetaLimitsFailWithExitCode2) {
   EXPECT_EQ(config.ell, 32);
 }
 
+TEST(CliDispatchTest, IntFlagsOutsideIntRangeFailWithExitCode2) {
+  // Each value would wrap to a small valid int if narrowed unchecked
+  // (4294967298 -> 2, 4294967297 -> 1); all are flag errors, caught
+  // before any dataset is built or thread started.
+  for (const char* flag :
+       {"--k=4294967298", "--topics=4294967297", "--cascades=4294967297",
+        "--em_iterations=4294967297", "--retries=4294967296",
+        "--port=4294967297", "--workers=4294967297",
+        "--max_contexts=4294967297", "--trials=4294967297",
+        "--threads=4294967297", "--indent=4294967298", "--indent=65",
+        "--k=-4294967295", "--cascades=0", "--em_iterations=0"}) {
+    const CliRun run = InvokeCli(TinyArgs("plan", {flag}));
+    EXPECT_EQ(run.code, 2) << flag;
+    const std::string name(flag, std::string(flag).find('='));
+    EXPECT_NE(run.err.find(name + " must be"), std::string::npos)
+        << flag << ": " << run.err;
+    EXPECT_EQ(run.out.find("\"plan\""), std::string::npos) << flag;
+  }
+  const CliRun sweep = InvokeCli(TinyArgs("bench", {"--k=2,4294967298"}));
+  EXPECT_EQ(sweep.code, 2);
+  EXPECT_NE(sweep.err.find("--k entries"), std::string::npos) << sweep.err;
+
+  CliConfig config;
+  ASSERT_TRUE(ParseCliConfig(MakeFlags({"plan", "--k=2147483647",
+                                        "--indent=64", "--port=65535"}),
+                             &config)
+                  .ok());
+  EXPECT_EQ(config.k, 2147483647);
+  EXPECT_EQ(config.indent, 64);
+  EXPECT_EQ(config.port, 65535);
+}
+
 TEST(CliDispatchTest, UnknownStoppingRuleFailsWithExitCode2) {
   // Mirror of the --method behavior: an unknown rule must not silently
   // fall back to the default — exit 2 and name the valid rules.

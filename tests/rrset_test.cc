@@ -310,6 +310,109 @@ TEST(MrrCollectionTest, ThreadCountInvariance) {
   }
 }
 
+// The reverse BFS as it reads probabilities by EdgeId: the reference the
+// sampler's in-edge-order stream must reproduce draw for draw.
+std::vector<VertexId> ReferenceRrSet(const InfluenceGraph& ig, VertexId root,
+                                     Rng* rng) {
+  const Graph& g = ig.graph();
+  std::vector<uint8_t> visited(g.num_vertices(), 0);
+  std::vector<VertexId> set = {root};
+  visited[root] = 1;
+  for (size_t head = 0; head < set.size(); ++head) {
+    const VertexId u = set[head];
+    const auto nbrs = g.InNeighbors(u);
+    const auto eids = g.InEdgeIds(u);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      if (visited[nbrs[i]]) continue;
+      const float p = ig.EdgeProb(eids[i]);
+      if (p > 0.0f && rng->NextFloat() < p) {
+        visited[nbrs[i]] = 1;
+        set.push_back(nbrs[i]);
+      }
+    }
+  }
+  return set;
+}
+
+// Pieces whose probabilities mix exact 0s and 1s with uniform draws of
+// different scales, so some BFS frontiers die and some flood.
+std::vector<InfluenceGraph> MixedPieces(const Graph& g, int ell,
+                                        uint64_t seed) {
+  Rng rng(seed);
+  std::vector<InfluenceGraph> pieces;
+  for (int j = 0; j < ell; ++j) {
+    std::vector<float> probs(g.num_edges());
+    for (float& p : probs) {
+      const uint64_t kind = rng.NextBounded(8);
+      p = kind == 0 ? 0.0f
+          : kind == 1 ? 1.0f
+                      : rng.NextFloat() / static_cast<float>(2 + j);
+    }
+    pieces.emplace_back(&g, std::move(probs));
+  }
+  return pieces;
+}
+
+TEST(RrSamplerTest, CollectionsMatchEdgeIdReferenceSampler) {
+  const Graph graphs[] = {GenerateHolmeKim(600, 3, 0.5, 41),
+                          GenerateBarabasiAlbert(500, 4, 43)};
+  for (const Graph& g : graphs) {
+    const int ell = 3;
+    const int64_t theta = 700;
+    const uint64_t seed = 47;
+    const std::vector<InfluenceGraph> pieces = MixedPieces(g, ell, 45);
+    int64_t members = 0;
+    for (const int threads : {1, 3}) {
+      const MrrCollection mrr = MrrCollection::Generate(
+          pieces, theta, seed, DiffusionModel::kIndependentCascade, threads);
+      for (int64_t i = 0; i < theta; ++i) {
+        Rng root_rng(PerSampleSeed(seed, i, -1));
+        const VertexId root =
+            static_cast<VertexId>(root_rng.NextBounded(g.num_vertices()));
+        ASSERT_EQ(mrr.root(i), root);
+        for (int j = 0; j < ell; ++j) {
+          Rng rng(PerSampleSeed(seed, i, j));
+          const std::vector<VertexId> want =
+              ReferenceRrSet(pieces[j], root, &rng);
+          const auto got = mrr.Set(i, j);
+          ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                                 want.end()))
+              << "threads " << threads << " sample " << i << " piece " << j;
+          members += static_cast<int64_t>(want.size());
+        }
+      }
+    }
+    // Not a degenerate instance: sets reach well past their roots.
+    EXPECT_GT(members, 2 * 2 * theta * ell);
+
+    // One generator across many calls: the sampler must leave it in the
+    // reference's state, draw for draw.
+    RrSampler sampler(g.num_vertices());
+    Rng rng(51), reference_rng(51);
+    std::vector<VertexId> set;
+    for (VertexId root = 0; root < g.num_vertices(); root += 7) {
+      sampler.Sample(pieces[root % ell], root, &rng, &set);
+      ASSERT_EQ(set, ReferenceRrSet(pieces[root % ell], root, &reference_rng))
+          << "root " << root;
+      ASSERT_EQ(rng.Next(), reference_rng.Next()) << "root " << root;
+    }
+
+    const RrCollection rr = RrCollection::Generate(pieces[1], theta, seed);
+    for (int64_t i = 0; i < theta; ++i) {
+      Rng root_rng(PerSampleSeed(seed, i, -1));
+      const VertexId root =
+          static_cast<VertexId>(root_rng.NextBounded(g.num_vertices()));
+      Rng rng(PerSampleSeed(seed, i, 0));
+      const std::vector<VertexId> want = ReferenceRrSet(pieces[1], root, &rng);
+      const auto got = rr.Set(i);
+      ASSERT_EQ(rr.root(i), root);
+      ASSERT_TRUE(
+          std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "RrCollection sample " << i;
+    }
+  }
+}
+
 // -------------------------------------------------------- CoverageState
 
 class CoverageFixture : public MrrFixture {

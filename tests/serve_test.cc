@@ -126,6 +126,13 @@ TEST(WireTest, RejectsOutOfDomainFields) {
            R"({"sampling":{"stopping":"never"}})",
            R"({"plan":{"budgets":[]}})",
            R"({"plan":{"budgets":[0]}})",
+           R"({"plan":{"budgets":[4294967298]}})",
+           R"({"plan":{"budgets":[4,2147483648]}})",
+           R"({"plan":{"threads":4294967297}})",
+           R"({"sampling":{"threads":4294967297}})",
+           R"({"sampling":{"threads":-1}})",
+           R"({"dataset":{"topics":4294967297}})",
+           R"({"dataset":{"topics":0}})",
            R"({"plan":{"budgets":"many"}})",
            R"({"plan":{"deadline_ms":0}})",
            R"({"plan":{"deadline_ms":-5}})",

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
@@ -172,6 +174,58 @@ TEST(InfluenceGraphTest, BuildPieceGraphsOnePerPiece) {
   EXPECT_EQ(pieces.size(), 3u);
   for (const auto& ig : pieces) {
     EXPECT_EQ(&ig.graph(), &g);
+  }
+}
+
+// Every in-edge-order probability equals the EdgeId-order one it copies.
+void ExpectInProbsFollowInEdges(const InfluenceGraph& ig) {
+  const Graph& g = ig.graph();
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const std::span<const float> in_probs = ig.InProbs(v);
+    const std::span<const EdgeId> eids = g.InEdgeIds(v);
+    ASSERT_EQ(in_probs.size(), eids.size()) << "vertex " << v;
+    for (size_t i = 0; i < eids.size(); ++i) {
+      EXPECT_EQ(in_probs[i], ig.EdgeProb(eids[i]))
+          << "vertex " << v << " slot " << i;
+    }
+  }
+}
+
+TEST(InfluenceGraphTest, InProbsFollowInEdgeOrder) {
+  const Graph g = GenerateHolmeKim(400, 4, 0.3, 5);
+  const EdgeTopicProbs probs = AssignWeightedCascadeTopics(g, 6, 2.0, 7);
+  Rng rng(3);
+  const Campaign c = Campaign::SampleUniformPieces(3, 6, &rng);
+  for (const InfluenceGraph& ig : BuildPieceGraphs(g, probs, c)) {
+    ExpectInProbsFollowInEdges(ig);
+  }
+  ExpectInProbsFollowInEdges(
+      InfluenceGraph::ForPiece(g, probs, c.piece(1).topics));
+  ExpectInProbsFollowInEdges(InfluenceGraph::TopicBlind(g, probs));
+  ExpectInProbsFollowInEdges(InfluenceGraph::Uniform(g, 0.25f));
+  ExpectInProbsFollowInEdges(InfluenceGraph::WeightedCascade(g));
+  std::vector<float> edge_probs(g.num_edges());
+  for (float& p : edge_probs) p = rng.NextFloat();
+  ExpectInProbsFollowInEdges(InfluenceGraph(&g, edge_probs));
+  // Vertices without in-edges get empty spans.
+  const Graph empty = Graph::Empty(3);
+  EXPECT_TRUE(InfluenceGraph::Uniform(empty, 0.5f).InProbs(2).empty());
+}
+
+TEST(InfluenceGraphTest, BuildPieceGraphsMatchesForPieceBitForBit) {
+  const Graph g = GenerateBarabasiAlbert(300, 3, 13);
+  const EdgeTopicProbs probs = AssignWeightedCascadeTopics(g, 8, 3.0, 17);
+  Rng rng(19);
+  const Campaign c = Campaign::SampleUniformPieces(4, 8, &rng);
+  const std::vector<InfluenceGraph> pieces = BuildPieceGraphs(g, probs, c);
+  for (int j = 0; j < c.num_pieces(); ++j) {
+    const InfluenceGraph one =
+        InfluenceGraph::ForPiece(g, probs, c.piece(j).topics);
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      ASSERT_EQ(pieces[j].EdgeProb(e),
+                static_cast<float>(probs.PieceProb(e, c.piece(j).topics)));
+      ASSERT_EQ(one.EdgeProb(e), pieces[j].EdgeProb(e));
+    }
   }
 }
 
