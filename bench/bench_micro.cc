@@ -11,7 +11,6 @@
 #include "oipa/tangent_bound.h"
 #include "rrset/coverage_state.h"
 #include "rrset/mrr_collection.h"
-#include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
 #include "topic/campaign.h"
 #include "topic/influence_graph.h"

@@ -3,11 +3,11 @@
 // counts, verifies that growing a collection costs the same per-sample
 // as generating it, spot-checks that the threaded collections are
 // bit-identical to the single-threaded ones (the PerSampleSeed
-// determinism contract), and runs adaptive theta selection to
-// demonstrate that every sample is drawn at most once per collection
-// (the total-samples counter equals 2 * final theta — one train + one
-// test collection — where the old regenerate-per-round scheme paid
-// 2 * sum of all round sizes).
+// determinism contract), and grows a SampleStore (in-sample + holdout)
+// by doubling to demonstrate that every sample is drawn at most once
+// per collection (the store's sample counter equals 2 * final theta,
+// where regenerating both collections every round would pay 2 * sum of
+// all round sizes).
 //
 // Each throughput leg runs a warm-up and then 5 timed repetitions of at
 // least 200 ms each (one leg alone lasts only 8-60 ms, too short to gate
@@ -25,14 +25,13 @@
 // is what scripts/check_perf_regression.py gates against the baseline.
 //
 // Flags: --dataset=lastfm --ell=3 --theta=20000 --extend_rounds=3
-//        --sampling_threads=1,4,16
-//        --adaptive_initial=2000 --adaptive_max=128000
-//        --output=BENCH_sampling.json
+//        --sampling_threads=1,4,16 --output=BENCH_sampling.json
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -40,8 +39,8 @@
 
 #include "bench/bench_common.h"
 #include "cli/json_writer.h"
-#include "rrset/adaptive_theta.h"
 #include "rrset/mrr_collection.h"
+#include "rrset/sample_store.h"
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -79,8 +78,6 @@ int main(int argc, char** argv) {
   const int64_t theta = flags.GetInt("theta", 20'000);
   const int extend_rounds =
       static_cast<int>(flags.GetInt("extend_rounds", 3));
-  const int64_t adaptive_initial = flags.GetInt("adaptive_initial", 2'000);
-  const int64_t adaptive_max = flags.GetInt("adaptive_max", 128'000);
   const std::string output =
       flags.GetString("output", "BENCH_sampling.json");
 
@@ -251,40 +248,44 @@ int main(int argc, char** argv) {
     result.Set("extend_by_threads", std::move(by_threads));
   }
 
-  // --------------------------------------------------------- adaptive theta
+  // ---------------------------------------------------------- store growth
   {
-    AdaptiveThetaOptions options;
-    options.initial_theta = adaptive_initial;
-    options.max_theta = adaptive_max;
-    options.relative_tolerance = 0.02;
-    options.probe_budget = 8;
+    SampleStore::Options options;
+    options.theta = theta;  // the holdout draws as many
     options.seed = 47;
+    const int64_t before = SampleStore::GeneratedSampleCount();
     WallTimer timer;
-    const AdaptiveThetaResult chosen =
-        ChooseTheta(env.pieces, env.dataset.promoter_pool, options);
-    const double seconds = timer.Seconds();
-    // What the pre-incremental implementation would have drawn: two
-    // fresh collections per round, sizes initial, 2*initial, ...
-    int64_t regenerate_cost = 0;
-    for (int64_t t = options.initial_theta; t <= chosen.theta; t *= 2) {
-      regenerate_cost += 2 * t;
+    const std::shared_ptr<SampleStore> store = SampleStore::Create(
+        std::make_shared<const std::vector<InfluenceGraph>>(env.pieces),
+        options);
+    // What regenerating both collections every round would draw.
+    int64_t regenerate_cost = 2 * theta;
+    int64_t target = theta;
+    for (int r = 0; r < extend_rounds; ++r) {
+      target *= 2;
+      const Status grown = store->Grow(target);
+      OIPA_CHECK(grown.ok()) << grown.ToString();
+      regenerate_cost += 2 * target;
     }
-    OIPA_CHECK_EQ(chosen.total_samples_generated, 2 * chosen.theta)
-        << "adaptive theta drew a sample more than once per collection";
+    const double seconds = timer.Seconds();
+    const int64_t drawn = SampleStore::GeneratedSampleCount() - before;
+    OIPA_CHECK_EQ(store->theta(), target);
+    OIPA_CHECK_EQ(drawn, 2 * target)
+        << "the sample store drew a sample more than once per collection";
     JsonValue j = JsonValue::Object();
-    j.Set("chosen_theta", chosen.theta)
-        .Set("rounds", chosen.rounds)
-        .Set("achieved_disagreement", chosen.achieved_disagreement)
-        .Set("total_samples_generated", chosen.total_samples_generated)
+    j.Set("initial_theta", theta)
+        .Set("final_theta", target)
+        .Set("rounds", extend_rounds)
+        .Set("total_samples_generated", drawn)
         .Set("regenerate_scheme_samples", regenerate_cost)
         .Set("seconds", seconds);
     std::printf(
-        "adaptive-theta: chose %lld after %d rounds, drew %lld samples "
+        "store-growth: %lld -> %lld in %d rounds, drew %lld samples "
         "(regeneration would draw %lld)\n",
-        static_cast<long long>(chosen.theta), chosen.rounds,
-        static_cast<long long>(chosen.total_samples_generated),
+        static_cast<long long>(theta), static_cast<long long>(target),
+        extend_rounds, static_cast<long long>(drawn),
         static_cast<long long>(regenerate_cost));
-    result.Set("adaptive_theta", std::move(j));
+    result.Set("store_growth", std::move(j));
   }
 
   const std::string text = result.Dump(2);

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
-#include "rrset/rr_collection.h"
+#include "rrset/mrr_collection.h"
 #include "util/logging.h"
 #include "util/math.h"
 
@@ -48,7 +49,11 @@ ImmResult Imm(const InfluenceGraph& ig, int k, const ImmOptions& options) {
   const double eps = options.epsilon;
   const double eps_prime = std::sqrt(2.0) * eps;
 
-  RrCollection rr = RrCollection::Generate(ig, 0, options.seed);
+  // One RR-set stream, grown by Extend across the phases: each phase
+  // appends an index segment for its new sets only.
+  const std::span<const InfluenceGraph> graphs(&ig, 1);
+  const int64_t max_theta = std::min(options.max_theta, kMaxTheta);
+  MrrCollection rr = MrrCollection::Generate(graphs, 0, options.seed);
   double lb = 1.0;
   const int max_rounds =
       std::max(1, static_cast<int>(std::log2(n)) - 1);
@@ -57,9 +62,8 @@ ImmResult Imm(const InfluenceGraph& ig, int k, const ImmOptions& options) {
   for (int i = 1; i <= max_rounds; ++i) {
     const double x = n / std::pow(2.0, i);
     const int64_t theta_i = std::min<int64_t>(
-        options.max_theta,
-        static_cast<int64_t>(std::ceil(lambda_p / x)));
-    if (rr.theta() < theta_i) rr.Extend(ig, theta_i - rr.theta());
+        max_theta, static_cast<int64_t>(std::ceil(lambda_p / x)));
+    rr.Extend(graphs, theta_i);
     const MaxCoverResult cover = GreedyMaxCover(rr, k);
     const double frac =
         static_cast<double>(cover.covered) /
@@ -72,9 +76,8 @@ ImmResult Imm(const InfluenceGraph& ig, int k, const ImmOptions& options) {
 
   const double lambda_s = LambdaStar(eps, k, ell, n);
   const int64_t theta = std::min<int64_t>(
-      options.max_theta,
-      static_cast<int64_t>(std::ceil(lambda_s / lb)));
-  if (rr.theta() < theta) rr.Extend(ig, theta - rr.theta());
+      max_theta, static_cast<int64_t>(std::ceil(lambda_s / lb)));
+  rr.Extend(graphs, theta);
 
   const MaxCoverResult cover = CelfMaxCover(rr, k);
   ImmResult result;
@@ -87,7 +90,7 @@ ImmResult Imm(const InfluenceGraph& ig, int k, const ImmOptions& options) {
 
 ImmResult FixedThetaRis(const InfluenceGraph& ig, int k, int64_t theta,
                         uint64_t seed) {
-  RrCollection rr = RrCollection::Generate(ig, theta, seed);
+  const MrrCollection rr = MrrCollection::Generate({&ig, 1}, theta, seed);
   const MaxCoverResult cover = CelfMaxCover(rr, k);
   ImmResult result;
   result.seeds = cover.seeds;

@@ -17,7 +17,8 @@ struct ImmOptions {
   double epsilon = 0.5;
   double failure_exponent = 1.0;  // "l" in the paper
   uint64_t seed = 1;
-  /// Safety cap on the total number of RR sets.
+  /// Safety cap on the total number of RR sets; values above kMaxTheta
+  /// (the collection's 32-bit sample-id limit) act as kMaxTheta.
   int64_t max_theta = 10'000'000;
 };
 
@@ -33,11 +34,15 @@ struct ImmResult {
 /// Full IMM: the sampling phase estimates a lower bound on OPT via
 /// geometrically increasing RR batches and martingale concentration
 /// bounds, then the selection phase runs greedy max cover on
-/// theta = lambda* / LB sets. Used as the "state-of-the-art IM algorithm"
-/// the paper's baselines are built from.
+/// theta = lambda* / LB sets. All phases grow one one-piece
+/// MrrCollection in place (Extend), so every RR set is drawn once and
+/// the result equals a run on a fresh collection of the final size.
+/// Used as the "state-of-the-art IM algorithm" the paper's baselines
+/// are built from.
 ImmResult Imm(const InfluenceGraph& ig, int k, const ImmOptions& options);
 
-/// Fixed-theta RIS: generates exactly `theta` RR sets and greedily covers.
+/// Fixed-theta RIS: generates exactly `theta` (<= kMaxTheta) RR sets and
+/// greedily covers.
 /// This is the paper's experimental configuration (theta fixed at 1e6 for
 /// all compared approaches).
 ImmResult FixedThetaRis(const InfluenceGraph& ig, int k, int64_t theta,

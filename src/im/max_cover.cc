@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <queue>
+#include <span>
 
 #include "util/logging.h"
 
@@ -16,18 +17,29 @@ std::vector<VertexId> AllVertices(VertexId n) {
   return out;
 }
 
-double Scale(const RrCollection& rr) {
-  return rr.theta() == 0
-             ? 0.0
-             : static_cast<double>(rr.num_vertices()) /
-                   static_cast<double>(rr.theta());
+/// Number of v's RR sets not yet `covered`.
+int64_t UncoveredGain(const MrrCollection& rr, VertexId v,
+                      const std::vector<uint8_t>& covered) {
+  int64_t gain = 0;
+  rr.ForEachSampleSpan(0, v, [&](std::span<const SampleId> samples) {
+    for (const SampleId i : samples) gain += !covered[i];
+  });
+  return gain;
+}
+
+void Cover(const MrrCollection& rr, VertexId v,
+           std::vector<uint8_t>* covered) {
+  rr.ForEachSampleContaining(0, v, [covered](int64_t i) {
+    (*covered)[i] = 1;
+  });
 }
 
 }  // namespace
 
-MaxCoverResult GreedyMaxCover(const RrCollection& rr, int k,
+MaxCoverResult GreedyMaxCover(const MrrCollection& rr, int k,
                               const std::vector<VertexId>& candidates) {
   OIPA_CHECK_GE(k, 0);
+  OIPA_CHECK_EQ(rr.num_pieces(), 1);
   const std::vector<VertexId> pool =
       candidates.empty() ? AllVertices(rr.num_vertices()) : candidates;
   std::vector<uint8_t> covered(rr.theta(), 0);
@@ -39,8 +51,7 @@ MaxCoverResult GreedyMaxCover(const RrCollection& rr, int k,
     int64_t best_gain = 0;
     for (VertexId v : pool) {
       if (taken[v]) continue;
-      int64_t gain = 0;
-      for (int64_t i : rr.SamplesContaining(v)) gain += !covered[i];
+      const int64_t gain = UncoveredGain(rr, v, covered);
       // Ties broken toward the smaller vertex id (strict > keeps first).
       if (gain > best_gain) {
         best_gain = gain;
@@ -51,15 +62,17 @@ MaxCoverResult GreedyMaxCover(const RrCollection& rr, int k,
     taken[best] = 1;
     result.seeds.push_back(best);
     result.covered += best_gain;
-    for (int64_t i : rr.SamplesContaining(best)) covered[i] = 1;
+    Cover(rr, best, &covered);
   }
-  result.spread_estimate = static_cast<double>(result.covered) * Scale(rr);
+  result.spread_estimate =
+      static_cast<double>(result.covered) * rr.UtilityScale();
   return result;
 }
 
-MaxCoverResult CelfMaxCover(const RrCollection& rr, int k,
+MaxCoverResult CelfMaxCover(const MrrCollection& rr, int k,
                             const std::vector<VertexId>& candidates) {
   OIPA_CHECK_GE(k, 0);
+  OIPA_CHECK_EQ(rr.num_pieces(), 1);
   const std::vector<VertexId> pool =
       candidates.empty() ? AllVertices(rr.num_vertices()) : candidates;
   std::vector<uint8_t> covered(rr.theta(), 0);
@@ -77,8 +90,10 @@ MaxCoverResult CelfMaxCover(const RrCollection& rr, int k,
   };
   std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> heap(cmp);
   for (VertexId v : pool) {
-    const int64_t gain =
-        static_cast<int64_t>(rr.SamplesContaining(v).size());
+    int64_t gain = 0;
+    rr.ForEachSampleSpan(0, v, [&gain](std::span<const SampleId> samples) {
+      gain += static_cast<int64_t>(samples.size());
+    });
     if (gain > 0) heap.push({gain, v, 0});
   }
 
@@ -89,18 +104,18 @@ MaxCoverResult CelfMaxCover(const RrCollection& rr, int k,
     heap.pop();
     if (top.round != round) {
       // Stale: recompute marginal gain under current coverage.
-      int64_t gain = 0;
-      for (int64_t i : rr.SamplesContaining(top.v)) gain += !covered[i];
+      const int64_t gain = UncoveredGain(rr, top.v, covered);
       if (gain > 0) heap.push({gain, top.v, round});
       continue;
     }
     if (top.gain <= 0) break;
     result.seeds.push_back(top.v);
     result.covered += top.gain;
-    for (int64_t i : rr.SamplesContaining(top.v)) covered[i] = 1;
+    Cover(rr, top.v, &covered);
     ++round;
   }
-  result.spread_estimate = static_cast<double>(result.covered) * Scale(rr);
+  result.spread_estimate =
+      static_cast<double>(result.covered) * rr.UtilityScale();
   return result;
 }
 

@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "rrset/rr_collection.h"
+#include "rrset/mrr_collection.h"
 
 namespace oipa {
 
@@ -16,15 +16,19 @@ struct MaxCoverResult {
   double spread_estimate = 0.0;
 };
 
-/// Plain greedy maximum coverage: k rounds, each scanning all candidates
-/// for the vertex covering the most yet-uncovered RR sets. `candidates`
-/// empty means "all vertices". The classical (1 - 1/e) max-cover greedy.
-MaxCoverResult GreedyMaxCover(const RrCollection& rr, int k,
+/// Plain greedy maximum coverage over the RR sets of a one-piece
+/// collection (rr.num_pieces() == 1, CHECKed): k rounds, each scanning
+/// all candidates for the vertex covering the most yet-uncovered RR
+/// sets. `candidates` empty means "all vertices". The classical
+/// (1 - 1/e) max-cover greedy. Reads the postings of every index
+/// segment, so a collection grown by Extend gives the same result as a
+/// fresh Generate at its final theta.
+MaxCoverResult GreedyMaxCover(const MrrCollection& rr, int k,
                               const std::vector<VertexId>& candidates = {});
 
 /// CELF lazy greedy: identical output to GreedyMaxCover (ties broken by
 /// vertex id in both), typically far fewer marginal evaluations.
-MaxCoverResult CelfMaxCover(const RrCollection& rr, int k,
+MaxCoverResult CelfMaxCover(const MrrCollection& rr, int k,
                             const std::vector<VertexId>& candidates = {});
 
 }  // namespace oipa

@@ -1,8 +1,7 @@
 #include "oipa/baselines.h"
 
-#include "im/imm.h"
+#include "im/max_cover.h"
 #include "oipa/adoption.h"
-#include "rrset/rr_collection.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -39,7 +38,7 @@ BaselineResult ImBaseline(const Graph& graph, const EdgeTopicProbs& probs,
   OIPA_CHECK_EQ(campaign.num_pieces(), mrr.num_pieces());
   // One IM run on the topic-blind graph.
   const InfluenceGraph blind = InfluenceGraph::TopicBlind(graph, probs);
-  RrCollection rr = RrCollection::Generate(blind, theta, seed);
+  const MrrCollection rr = MrrCollection::Generate({&blind, 1}, theta, seed);
   const MaxCoverResult cover = CelfMaxCover(rr, k, pool);
 
   // Try the same seed set on every piece; keep the best.
@@ -50,20 +49,18 @@ BaselineResult ImBaseline(const Graph& graph, const EdgeTopicProbs& probs,
   return result;
 }
 
-BaselineResult TimBaseline(const Graph& graph, const EdgeTopicProbs& probs,
-                           const Campaign& campaign,
+BaselineResult TimBaseline(const std::vector<InfluenceGraph>& pieces,
                            const MrrCollection& mrr,
                            const LogisticAdoptionModel& model,
                            const std::vector<VertexId>& pool, int k,
                            int64_t theta, uint64_t seed) {
   WallTimer timer;
-  OIPA_CHECK_EQ(campaign.num_pieces(), mrr.num_pieces());
+  OIPA_CHECK_EQ(static_cast<int>(pieces.size()), mrr.num_pieces());
   // One IM run per piece on that piece's influence graph.
-  std::vector<std::vector<VertexId>> per_piece(campaign.num_pieces());
-  const std::vector<InfluenceGraph> pieces =
-      BuildPieceGraphs(graph, probs, campaign);
-  for (int j = 0; j < campaign.num_pieces(); ++j) {
-    RrCollection rr = RrCollection::Generate(pieces[j], theta, seed + j + 1);
+  std::vector<std::vector<VertexId>> per_piece(pieces.size());
+  for (size_t j = 0; j < pieces.size(); ++j) {
+    const MrrCollection rr =
+        MrrCollection::Generate({&pieces[j], 1}, theta, seed + j + 1);
     per_piece[j] = CelfMaxCover(rr, k, pool).seeds;
   }
   BaselineResult result = BestSinglePieceAssignment(mrr, model, per_piece);

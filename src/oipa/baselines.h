@@ -35,6 +35,8 @@ BaselineResult BestSinglePieceAssignment(
 /// algorithm once on the topic-blind graph G (mean edge probability over
 /// topics) to get k seeds S, then evaluate assigning S to each piece t_j
 /// alone and keep the best. Ignores per-piece influence heterogeneity.
+/// Both baselines draw their RR sets as one-piece MrrCollections and
+/// pick seeds with CelfMaxCover (im/max_cover.h).
 BaselineResult ImBaseline(const Graph& graph, const EdgeTopicProbs& probs,
                           const Campaign& campaign,
                           const MrrCollection& mrr,
@@ -42,12 +44,12 @@ BaselineResult ImBaseline(const Graph& graph, const EdgeTopicProbs& probs,
                           const std::vector<VertexId>& pool, int k,
                           int64_t theta, uint64_t seed);
 
-/// The paper's TIM baseline: build the influence graph G_{t_i} for every
-/// piece, run IM on each to get k seeds S_i, then pick the single
+/// The paper's TIM baseline: run IM on every piece's influence graph
+/// G_{t_i} (`pieces`, one per piece of `mrr`, e.g. the context's
+/// PlanningContext::pieces()) to get k seeds S_i, then pick the single
 /// (S_i -> t_i) assignment with the best adoption utility. Topic-aware
 /// but single-piece.
-BaselineResult TimBaseline(const Graph& graph, const EdgeTopicProbs& probs,
-                           const Campaign& campaign,
+BaselineResult TimBaseline(const std::vector<InfluenceGraph>& pieces,
                            const MrrCollection& mrr,
                            const LogisticAdoptionModel& model,
                            const std::vector<VertexId>& pool, int k,

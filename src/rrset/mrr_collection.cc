@@ -1,7 +1,5 @@
 #include "rrset/mrr_collection.h"
 
-#include <atomic>
-
 #include "diffusion/lt_cascade.h"
 #include "rrset/rr_sampler.h"
 #include "util/logging.h"
@@ -9,18 +7,8 @@
 
 namespace oipa {
 
-namespace {
-
-std::atomic<int64_t> g_generated_samples{0};
-
-}  // namespace
-
-int64_t MrrCollection::GeneratedSampleCount() {
-  return g_generated_samples.load(std::memory_order_relaxed);
-}
-
 MrrCollection MrrCollection::Generate(
-    const std::vector<InfluenceGraph>& piece_graphs, int64_t theta,
+    std::span<const InfluenceGraph> piece_graphs, int64_t theta,
     uint64_t seed, DiffusionModel model, int num_threads) {
   OIPA_CHECK_GE(theta, 0);
   OIPA_CHECK(!piece_graphs.empty());
@@ -37,7 +25,7 @@ MrrCollection MrrCollection::Generate(
   return mc;
 }
 
-void MrrCollection::Extend(const std::vector<InfluenceGraph>& piece_graphs,
+void MrrCollection::Extend(std::span<const InfluenceGraph> piece_graphs,
                            int64_t new_theta, int num_threads) {
   OIPA_CHECK(extendable_)
       << "Extend on a collection without sampling provenance";
@@ -114,7 +102,6 @@ void MrrCollection::Extend(const std::vector<InfluenceGraph>& piece_graphs,
                 theta_ * ell + 1);
 
   AppendIndexSegment(begin);
-  g_generated_samples.fetch_add(extra, std::memory_order_relaxed);
 }
 
 MrrCollection MrrCollection::FromParts(
@@ -165,12 +152,21 @@ void MrrCollection::AppendIndexSegment(int64_t begin) {
   seg.begin_sample = begin;
   seg.end_sample = theta_;
   seg.offsets.assign(keys + 1, 0);
-  for (int64_t i = begin; i < theta_; ++i) {
-    for (int j = 0; j < num_pieces_; ++j) {
-      for (VertexId v : Set(i, j)) {
-        const int64_t key =
-            static_cast<int64_t>(j) * (num_vertices_ + 1) + v;
-        ++seg.offsets[key + 1];
+  if (num_pieces_ == 1) {
+    // One piece (the IM baselines' RR sets): a member's key is the
+    // vertex itself, so count in one flat pass with no per-set loop,
+    // whose unpredictable trip counts would double the index time.
+    const VertexId* member = nodes_.data() + offsets_[begin];
+    const VertexId* const end = nodes_.data() + offsets_[theta_];
+    for (; member != end; ++member) ++seg.offsets[*member + 1];
+  } else {
+    for (int64_t i = begin; i < theta_; ++i) {
+      for (int j = 0; j < num_pieces_; ++j) {
+        for (VertexId v : Set(i, j)) {
+          const int64_t key =
+              static_cast<int64_t>(j) * (num_vertices_ + 1) + v;
+          ++seg.offsets[key + 1];
+        }
       }
     }
   }

@@ -35,6 +35,10 @@ enum class DiffusionModel {
 /// fresh Generate(theta2), regardless of thread count. Growth appends an
 /// inverted-index segment covering only the new samples, so an Extend
 /// costs O(new samples), never a full index rebuild.
+///
+/// With one piece (Generate({&ig, 1}, ...)) this is a plain RR-set
+/// collection: the IM baselines' max cover (im/max_cover.h) reads the
+/// postings of piece 0.
 class MrrCollection {
  public:
   /// Generates theta <= kMaxTheta samples over `piece_graphs` (all
@@ -47,7 +51,7 @@ class MrrCollection {
   /// are reverse live-edge paths; everything downstream (estimators,
   /// bounds, solvers) works unchanged, so OIPA can be solved under LT.
   static MrrCollection Generate(
-      const std::vector<InfluenceGraph>& piece_graphs, int64_t theta,
+      std::span<const InfluenceGraph> piece_graphs, int64_t theta,
       uint64_t seed,
       DiffusionModel model = DiffusionModel::kIndependentCascade,
       int num_threads = 0);
@@ -60,7 +64,7 @@ class MrrCollection {
   /// `num_threads` (same convention as Generate). CHECK-fails on
   /// collections without sampling provenance (FromParts-built ones with
   /// extendable() == false) and on new_theta > kMaxTheta.
-  void Extend(const std::vector<InfluenceGraph>& piece_graphs,
+  void Extend(std::span<const InfluenceGraph> piece_graphs,
               int64_t new_theta, int num_threads = 0);
 
   /// Rebuilds a collection from raw storage (deserialization path; see
@@ -163,11 +167,6 @@ class MrrCollection {
                        : static_cast<double>(num_vertices_) /
                              static_cast<double>(theta_);
   }
-
-  /// Process-wide count of MRR samples drawn by Generate/Extend since
-  /// startup (one unit = one root plus its l RR sets). Benches and tests
-  /// diff it around a call to prove no sample is ever generated twice.
-  static int64_t GeneratedSampleCount();
 
  private:
   /// Inverted-index postings for one contiguous growth step

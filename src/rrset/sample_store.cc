@@ -1,6 +1,7 @@
 #include "rrset/sample_store.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -13,11 +14,28 @@ namespace oipa {
 
 namespace {
 
+std::atomic<int64_t> g_generated_samples{0};
+
 std::shared_ptr<const MrrCollection> GenerateCollection(
     const std::vector<InfluenceGraph>& pieces,
     const SampleStore::Options& options, int64_t theta, uint64_t seed) {
-  return std::make_shared<const MrrCollection>(MrrCollection::Generate(
-      pieces, theta, seed, options.diffusion, options.sampling_threads));
+  auto generated = std::make_shared<const MrrCollection>(
+      MrrCollection::Generate(pieces, theta, seed, options.diffusion,
+                              options.sampling_threads));
+  g_generated_samples.fetch_add(theta, std::memory_order_relaxed);
+  return generated;
+}
+
+/// Copy-on-grow: returns a copy of `current` extended to `target_theta`.
+std::shared_ptr<const MrrCollection> GrownCopy(
+    const MrrCollection& current,
+    const std::vector<InfluenceGraph>& pieces, int64_t target_theta,
+    int sampling_threads) {
+  auto grown = std::make_shared<MrrCollection>(current);
+  grown->Extend(pieces, target_theta, sampling_threads);
+  g_generated_samples.fetch_add(target_theta - current.theta(),
+                                std::memory_order_relaxed);
+  return grown;
 }
 
 /// The holdout stream is decorrelated from the in-sample stream by the
@@ -496,6 +514,10 @@ void SampleStore::SetRegistryBudget(int64_t bytes) {
   EnforceBudgetLocked();
 }
 
+int64_t SampleStore::GeneratedSampleCount() {
+  return g_generated_samples.load(std::memory_order_relaxed);
+}
+
 SampleStore::RegistryStats SampleStore::GetRegistryStats() {
   MutexLock lock(&g_registry_mu);
   PruneRegistryLocked();
@@ -592,18 +614,14 @@ Status SampleStore::Grow(int64_t target_theta) {
   // freed (compaction), which live_generations() observes. A collection
   // already at target (a holdout catching up to a larger in-sample
   // stream, or vice versa) is republished untouched.
-  std::shared_ptr<const MrrCollection> grown = current.mrr;
-  if (mrr_below) {
-    auto g = std::make_shared<MrrCollection>(*current.mrr);
-    g->Extend(*pieces_, target_theta, options_.sampling_threads);
-    grown = std::move(g);
-  }
-  std::shared_ptr<const MrrCollection> grown_holdout = current.holdout;
-  if (holdout_below) {
-    auto h = std::make_shared<MrrCollection>(*current.holdout);
-    h->Extend(*pieces_, target_theta, options_.sampling_threads);
-    grown_holdout = std::move(h);
-  }
+  std::shared_ptr<const MrrCollection> grown =
+      mrr_below ? GrownCopy(*current.mrr, *pieces_, target_theta,
+                            options_.sampling_threads)
+                : current.mrr;
+  std::shared_ptr<const MrrCollection> grown_holdout =
+      holdout_below ? GrownCopy(*current.holdout, *pieces_, target_theta,
+                                options_.sampling_threads)
+                    : current.holdout;
   Publish(std::move(grown), std::move(grown_holdout));
   return Status::Ok();
 }
@@ -648,8 +666,7 @@ SampleStore::Stats SampleStore::GetStats() const {
 namespace {
 
 /// Shared statistic of both rules: relative disagreement between the
-/// optimizer's in-sample estimate and the unbiased holdout estimate
-/// (mirrors AdaptiveTheta's convergence test).
+/// optimizer's in-sample estimate and the unbiased holdout estimate.
 double SamplingGap(const StoppingInputs& in) {
   const double scale =
       std::max(1e-9, std::max(in.utility, in.holdout_utility));

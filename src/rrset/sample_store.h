@@ -211,6 +211,12 @@ class SampleStore {
   };
   static RegistryStats GetRegistryStats();
 
+  /// Process-wide count of MRR samples the stores drew since startup,
+  /// in-sample and holdout, at construction and in Grow() (one unit =
+  /// one root plus its l RR sets). The daemon and tests diff it around
+  /// a call to prove no sample is ever generated twice.
+  static int64_t GeneratedSampleCount();
+
   /// The current generation; never blocks on growers (the critical
   /// section is one shared_ptr copy).
   SampleSnapshot snapshot() const;

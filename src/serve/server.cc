@@ -18,7 +18,6 @@
 #include <utility>
 
 #include "oipa/api/solver_registry.h"
-#include "rrset/mrr_collection.h"
 #include "rrset/mrr_io.h"
 #include "rrset/sample_store.h"
 #include "serve/json_parser.h"
@@ -76,6 +75,30 @@ Status WriteFileAtomically(const std::string& path,
                            std::strerror(errno));
   }
   return Status::Ok();
+}
+
+/// The "context_cache" block of response telemetry and health.
+JsonValue CacheStatsJson(const ContextCache::Stats& cache) {
+  JsonValue j = JsonValue::Object();
+  j.Set("hits", cache.hits)
+      .Set("misses", cache.misses)
+      .Set("evictions", cache.evictions)
+      .Set("live_contexts", cache.live_contexts);
+  return j;
+}
+
+/// The "store_registry" block of response telemetry and health.
+JsonValue RegistryStatsJson() {
+  const SampleStore::RegistryStats registry =
+      SampleStore::GetRegistryStats();
+  JsonValue j = JsonValue::Object();
+  j.Set("live_stores", registry.live_stores)
+      .Set("pinned_stores", registry.pinned_stores)
+      .Set("memory_bytes", registry.memory_bytes)
+      .Set("budget_bytes", registry.budget_bytes)
+      .Set("evictions", registry.evictions)
+      .Set("recovered_stores", registry.recovered_stores);
+  return j;
 }
 
 }  // namespace
@@ -402,7 +425,7 @@ void PlanServer::WorkerLoop() {
 
 void PlanServer::HandleGroup(std::vector<Work> group,
                              size_t queue_depth) {
-  const int64_t samples_before = MrrCollection::GeneratedSampleCount();
+  const int64_t samples_before = SampleStore::GeneratedSampleCount();
 
   // The whole group shares one ContextKey(); acquire with the largest
   // theta seen so every member's samples are covered by one store.
@@ -461,7 +484,7 @@ void PlanServer::HandleGroup(std::vector<Work> group,
     return;
   }
   const int64_t samples_generated =
-      MrrCollection::GeneratedSampleCount() - samples_before;
+      SampleStore::GeneratedSampleCount() - samples_before;
 
   std::map<int, const PlanResponse*> by_budget;
   for (const PlanResponse& response : *responses) {
@@ -509,13 +532,7 @@ JsonValue PlanServer::ServeTelemetry(const ContextCache::Entry& entry,
     serve.Set("batched_requests", batched_requests_);
   }
 
-  const ContextCache::Stats cache = cache_.GetStats();
-  JsonValue cache_json = JsonValue::Object();
-  cache_json.Set("hits", cache.hits)
-      .Set("misses", cache.misses)
-      .Set("evictions", cache.evictions)
-      .Set("live_contexts", cache.live_contexts);
-  serve.Set("context_cache", std::move(cache_json));
+  serve.Set("context_cache", CacheStatsJson(cache_.GetStats()));
 
   const SampleStore::Stats store = entry.context->sample_store().GetStats();
   JsonValue store_json = JsonValue::Object();
@@ -526,16 +543,7 @@ JsonValue PlanServer::ServeTelemetry(const ContextCache::Entry& entry,
       .Set("shared", store.shared);
   serve.Set("store", std::move(store_json));
 
-  const SampleStore::RegistryStats registry =
-      SampleStore::GetRegistryStats();
-  JsonValue registry_json = JsonValue::Object();
-  registry_json.Set("live_stores", registry.live_stores)
-      .Set("pinned_stores", registry.pinned_stores)
-      .Set("memory_bytes", registry.memory_bytes)
-      .Set("budget_bytes", registry.budget_bytes)
-      .Set("evictions", registry.evictions)
-      .Set("recovered_stores", registry.recovered_stores);
-  serve.Set("store_registry", std::move(registry_json));
+  serve.Set("store_registry", RegistryStatsJson());
   return serve;
 }
 
@@ -567,24 +575,8 @@ std::string PlanServer::HealthResponseLine(const std::string& id) const {
            counters_.recovered_snapshots.load(std::memory_order_relaxed))
       .Set("faults_injected", FaultInjector::InjectedCount());
 
-  const ContextCache::Stats cache = cache_.GetStats();
-  JsonValue cache_json = JsonValue::Object();
-  cache_json.Set("hits", cache.hits)
-      .Set("misses", cache.misses)
-      .Set("evictions", cache.evictions)
-      .Set("live_contexts", cache.live_contexts);
-  health.Set("context_cache", std::move(cache_json));
-
-  const SampleStore::RegistryStats registry =
-      SampleStore::GetRegistryStats();
-  JsonValue registry_json = JsonValue::Object();
-  registry_json.Set("live_stores", registry.live_stores)
-      .Set("pinned_stores", registry.pinned_stores)
-      .Set("memory_bytes", registry.memory_bytes)
-      .Set("budget_bytes", registry.budget_bytes)
-      .Set("evictions", registry.evictions)
-      .Set("recovered_stores", registry.recovered_stores);
-  health.Set("store_registry", std::move(registry_json));
+  health.Set("context_cache", CacheStatsJson(cache_.GetStats()))
+      .Set("store_registry", RegistryStatsJson());
 
   JsonValue j = JsonValue::Object();
   j.Set("id", id).Set("ok", true).Set("health", std::move(health));

@@ -547,11 +547,11 @@ TEST_F(ApiFixture, ContextsDifferingOnlyInAdoptionModelShareOneStore) {
   ContextOptions options;
   options.theta = 2'000;
   options.seed = 71;
-  const int64_t before = MrrCollection::GeneratedSampleCount();
+  const int64_t before = SampleStore::GeneratedSampleCount();
   auto a = PlanningContext::Create(
       graph_, probs_, campaign_, LogisticAdoptionModel(2.0, 1.0), options);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
-  const int64_t after_first = MrrCollection::GeneratedSampleCount();
+  const int64_t after_first = SampleStore::GeneratedSampleCount();
   EXPECT_EQ(after_first - before, 2 * 2'000);  // in-sample + holdout
 
   // Same sampling configuration, different logistic adoption model:
@@ -559,7 +559,7 @@ TEST_F(ApiFixture, ContextsDifferingOnlyInAdoptionModelShareOneStore) {
   auto b = PlanningContext::Create(
       graph_, probs_, campaign_, LogisticAdoptionModel(5.0, 0.5), options);
   ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount(), after_first);
+  EXPECT_EQ(SampleStore::GeneratedSampleCount(), after_first);
   EXPECT_EQ(&(*a)->sample_store(), &(*b)->sample_store());
   EXPECT_TRUE((*a)->sample_store().GetStats().shared);
   // The contexts also share one set of piece influence graphs.

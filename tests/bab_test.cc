@@ -312,8 +312,8 @@ TEST(BaselinesTest, RunAndProduceSinglePiecePlans) {
       ImBaseline(inst.graph, inst.probs, inst.campaign, *inst.mrr,
                  inst.model, inst.pool, 4, 2000, 199);
   const BaselineResult tim =
-      TimBaseline(inst.graph, inst.probs, inst.campaign, *inst.mrr,
-                  inst.model, inst.pool, 4, 2000, 211);
+      TimBaseline(inst.pieces, *inst.mrr, inst.model, inst.pool, 4, 2000,
+                  211);
   // Both concentrate all k seeds on one piece.
   for (const BaselineResult* r : {&im, &tim}) {
     ASSERT_GE(r->chosen_piece, 0);
@@ -326,6 +326,28 @@ TEST(BaselinesTest, RunAndProduceSinglePiecePlans) {
   }
 }
 
+TEST(BaselinesTest, GoldenPlansAndUtilities) {
+  // Pinned outputs: the baselines' RR-set streams, max cover and the
+  // single-piece evaluation together decide these bits.
+  BabInstance inst(60, 0.08, 3, 5, 277);
+  const BaselineResult im =
+      ImBaseline(inst.graph, inst.probs, inst.campaign, *inst.mrr,
+                 inst.model, inst.pool, 5, 3000, 251);
+  EXPECT_EQ(im.chosen_piece, 1);
+  EXPECT_EQ(im.plan.SeedSet(0), std::vector<VertexId>{});
+  EXPECT_EQ(im.plan.SeedSet(1), (std::vector<VertexId>{47, 1, 40, 24, 0}));
+  EXPECT_EQ(im.plan.SeedSet(2), std::vector<VertexId>{});
+  EXPECT_EQ(im.utility, 0x1.eff6c3776facbp+0);
+
+  const BaselineResult tim = TimBaseline(inst.pieces, *inst.mrr, inst.model,
+                                         inst.pool, 5, 3000, 257);
+  EXPECT_EQ(tim.chosen_piece, 2);
+  EXPECT_EQ(tim.plan.SeedSet(0), std::vector<VertexId>{});
+  EXPECT_EQ(tim.plan.SeedSet(1), std::vector<VertexId>{});
+  EXPECT_EQ(tim.plan.SeedSet(2), (std::vector<VertexId>{41, 23, 13, 20, 0}));
+  EXPECT_EQ(tim.utility, 0x1.7779bb07fadfep+1);
+}
+
 TEST(BaselinesTest, BabBeatsOrMatchesBaselines) {
   BabInstance inst(30, 0.12, 3, 5, 223);
   const int k = 4;
@@ -333,8 +355,8 @@ TEST(BaselinesTest, BabBeatsOrMatchesBaselines) {
       ImBaseline(inst.graph, inst.probs, inst.campaign, *inst.mrr,
                  inst.model, inst.pool, k, 2000, 227);
   const BaselineResult tim =
-      TimBaseline(inst.graph, inst.probs, inst.campaign, *inst.mrr,
-                  inst.model, inst.pool, k, 2000, 229);
+      TimBaseline(inst.pieces, *inst.mrr, inst.model, inst.pool, k, 2000,
+                  229);
   BabOptions opts;
   opts.budget = k;
   const BabResult bab =

@@ -8,7 +8,7 @@
 #include "graph/graph_builder.h"
 #include "im/imm.h"
 #include "im/max_cover.h"
-#include "rrset/rr_collection.h"
+#include "rrset/mrr_collection.h"
 #include "topic/influence_graph.h"
 
 namespace oipa {
@@ -19,7 +19,7 @@ TEST(MaxCoverTest, PicksObviousHub) {
   // leaf contains {leaf, 0}, so greedy must pick 0 first.
   const Graph g = MakeStar(10);
   const InfluenceGraph ig = InfluenceGraph::Uniform(g, 1.0f);
-  const RrCollection rr = RrCollection::Generate(ig, 2000, 3);
+  const MrrCollection rr = MrrCollection::Generate({&ig, 1}, 2000, 3);
   const MaxCoverResult res = GreedyMaxCover(rr, 1);
   ASSERT_EQ(res.seeds.size(), 1u);
   EXPECT_EQ(res.seeds[0], 0);
@@ -29,7 +29,7 @@ TEST(MaxCoverTest, PicksObviousHub) {
 TEST(MaxCoverTest, KZeroReturnsEmpty) {
   const Graph g = MakeStar(5);
   const InfluenceGraph ig = InfluenceGraph::Uniform(g, 1.0f);
-  const RrCollection rr = RrCollection::Generate(ig, 100, 3);
+  const MrrCollection rr = MrrCollection::Generate({&ig, 1}, 100, 3);
   EXPECT_TRUE(GreedyMaxCover(rr, 0).seeds.empty());
   EXPECT_TRUE(CelfMaxCover(rr, 0).seeds.empty());
 }
@@ -38,7 +38,7 @@ TEST(MaxCoverTest, StopsWhenNoPositiveGain) {
   // Two-vertex graph with no edges: two seeds cover everything.
   const Graph g = Graph::Empty(2);
   const InfluenceGraph ig(&g, {});
-  const RrCollection rr = RrCollection::Generate(ig, 500, 5);
+  const MrrCollection rr = MrrCollection::Generate({&ig, 1}, 500, 5);
   const MaxCoverResult res = GreedyMaxCover(rr, 10);
   EXPECT_EQ(res.seeds.size(), 2u);
   EXPECT_EQ(res.covered, rr.theta());
@@ -47,7 +47,7 @@ TEST(MaxCoverTest, StopsWhenNoPositiveGain) {
 TEST(MaxCoverTest, CandidateRestrictionHonored) {
   const Graph g = MakeStar(10);
   const InfluenceGraph ig = InfluenceGraph::Uniform(g, 1.0f);
-  const RrCollection rr = RrCollection::Generate(ig, 1000, 7);
+  const MrrCollection rr = MrrCollection::Generate({&ig, 1}, 1000, 7);
   // Exclude the hub; only leaves allowed.
   std::vector<VertexId> pool;
   for (VertexId v = 1; v <= 10; ++v) pool.push_back(v);
@@ -62,7 +62,7 @@ TEST_P(GreedyCelfEquivalence, IdenticalSeedsAndCoverage) {
   const auto [n, p, k] = GetParam();
   const Graph g = GenerateErdosRenyi(n, p, 11 + n);
   const InfluenceGraph ig = InfluenceGraph::WeightedCascade(g);
-  const RrCollection rr = RrCollection::Generate(ig, 3000, 13);
+  const MrrCollection rr = MrrCollection::Generate({&ig, 1}, 3000, 13);
   const MaxCoverResult greedy = GreedyMaxCover(rr, k);
   const MaxCoverResult celf = CelfMaxCover(rr, k);
   EXPECT_EQ(greedy.seeds, celf.seeds);
@@ -77,19 +77,45 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(150, 0.02, 10),
                       std::make_tuple(80, 0.08, 6)));
 
+TEST(MaxCoverTest, ExtendedCollectionCoversLikeAFreshOne) {
+  // Imm grows one collection phase by phase; max cover must read every
+  // index segment and match a single-segment collection of the final
+  // size.
+  const Graph g = GenerateBarabasiAlbert(200, 3, 71);
+  const InfluenceGraph ig = InfluenceGraph::WeightedCascade(g);
+  MrrCollection grown = MrrCollection::Generate({&ig, 1}, 300, 73);
+  for (const int64_t theta : {700, 1'500, 4'000}) {
+    grown.Extend({&ig, 1}, theta);
+  }
+  ASSERT_EQ(grown.num_index_segments(), 4);
+  const MrrCollection fresh = MrrCollection::Generate({&ig, 1}, 4'000, 73);
+  std::vector<VertexId> pool;
+  for (VertexId v = 0; v < g.num_vertices(); v += 3) pool.push_back(v);
+  for (const std::vector<VertexId>& candidates :
+       {std::vector<VertexId>{}, pool}) {
+    for (const auto cover : {&GreedyMaxCover, &CelfMaxCover}) {
+      const MaxCoverResult a = cover(grown, 8, candidates);
+      const MaxCoverResult b = cover(fresh, 8, candidates);
+      EXPECT_EQ(a.seeds, b.seeds);
+      EXPECT_EQ(a.covered, b.covered);
+      EXPECT_EQ(a.spread_estimate, b.spread_estimate);
+    }
+  }
+}
+
 TEST(MaxCoverTest, GreedyApproximationOnBruteForceableInstance) {
   // Small instance: compare greedy coverage against exhaustive best pair.
   const Graph g = GenerateErdosRenyi(12, 0.2, 17);
   const InfluenceGraph ig = InfluenceGraph::Uniform(g, 0.4f);
-  const RrCollection rr = RrCollection::Generate(ig, 4000, 19);
+  const MrrCollection rr = MrrCollection::Generate({&ig, 1}, 4000, 19);
 
   int64_t best = 0;
   std::vector<uint8_t> covered(rr.theta());
   for (VertexId a = 0; a < 12; ++a) {
     for (VertexId b = a + 1; b < 12; ++b) {
       std::fill(covered.begin(), covered.end(), 0);
-      for (int64_t i : rr.SamplesContaining(a)) covered[i] = 1;
-      for (int64_t i : rr.SamplesContaining(b)) covered[i] = 1;
+      for (int64_t i : rr.SamplesContaining(0, a)) covered[i] = 1;
+      for (int64_t i : rr.SamplesContaining(0, b)) covered[i] = 1;
       int64_t c = 0;
       for (uint8_t x : covered) c += x;
       best = std::max(best, c);
@@ -139,6 +165,26 @@ TEST(ImmTest, LowerBoundBelowGreedySpread) {
   const ImmResult res = Imm(ig, 6, opts);
   // LB is a lower bound on OPT >= achieved spread estimate up to noise.
   EXPECT_LE(res.opt_lower_bound, res.spread_estimate * 1.25);
+}
+
+TEST(ImmTest, GoldenSeedsThetaAndSpread) {
+  // Pinned outputs: the RR-set stream, the phase schedule and max cover
+  // together decide these bits.
+  const Graph g = GenerateBarabasiAlbert(300, 3, 23);
+  const InfluenceGraph ig = InfluenceGraph::WeightedCascade(g);
+  ImmOptions opts;
+  opts.epsilon = 0.3;
+  opts.seed = 29;
+  const ImmResult imm = Imm(ig, 5, opts);
+  EXPECT_EQ(imm.seeds, (std::vector<VertexId>{2, 10, 0, 13, 7}));
+  EXPECT_EQ(imm.theta_used, 3827);
+  EXPECT_EQ(imm.spread_estimate, 0x1.7160201bd3d9cp+6);
+  EXPECT_EQ(imm.opt_lower_bound, 0x1.02d8b7f855a7ep+6);
+
+  const ImmResult ris = FixedThetaRis(ig, 5, 20'000, 59);
+  EXPECT_EQ(ris.seeds, (std::vector<VertexId>{2, 13, 10, 0, 7}));
+  EXPECT_EQ(ris.theta_used, 20'000);
+  EXPECT_EQ(ris.spread_estimate, 0x1.78147ae147ae1p+6);
 }
 
 TEST(FixedThetaRisTest, MatchesImmQualityRoughly) {

@@ -186,7 +186,7 @@ TEST(ParallelBabTest, RequestThreadsFlowThroughTheApi) {
   ParInstance inst(30, 0.1, 2, 4, 223);
   auto context = PlanningContext::Borrow(
       inst.graph, inst.probs, inst.campaign, inst.model,
-      {.theta = 4000, .holdout_theta = 0, .seed = 41});
+      {.theta = 4000, .holdout_theta = 0, .seed = 41, .source_key = {}});
   ASSERT_TRUE(context.ok()) << context.status().ToString();
 
   PlanRequest request;
@@ -216,7 +216,7 @@ TEST(ParallelBabTest, FourThreadCancellationThroughTheApi) {
   ParInstance inst(30, 0.1, 3, 5, 227);
   auto context = PlanningContext::Borrow(
       inst.graph, inst.probs, inst.campaign, inst.model,
-      {.theta = 4000, .holdout_theta = 0, .seed = 43});
+      {.theta = 4000, .holdout_theta = 0, .seed = 43, .source_key = {}});
   ASSERT_TRUE(context.ok()) << context.status().ToString();
 
   PlanRequest request;

@@ -14,7 +14,6 @@
 #include "graph/graph_builder.h"
 #include "rrset/coverage_state.h"
 #include "rrset/mrr_collection.h"
-#include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
 #include "topic/campaign.h"
 #include "topic/influence_graph.h"
@@ -72,65 +71,45 @@ TEST(PerSampleSeedTest, DistinctAcrossSamplesAndPieces) {
 
 // ---------------------------------------------------------- Collection
 
-TEST(RrCollectionTest, SpreadEstimateMatchesExactOnSmallGraphs) {
+/// n times the fraction of RR sets in a one-piece collection that
+/// `seeds` cover: the RIS spread estimator.
+double OnePieceSpreadEstimate(const MrrCollection& rr,
+                              const std::vector<VertexId>& seeds) {
+  std::vector<uint8_t> covered(rr.theta(), 0);
+  for (const VertexId s : seeds) {
+    for (const int64_t i : rr.SamplesContaining(0, s)) covered[i] = 1;
+  }
+  int64_t count = 0;
+  for (const uint8_t c : covered) count += c;
+  return static_cast<double>(count) * rr.UtilityScale();
+}
+
+TEST(MrrCollectionTest, OnePieceSpreadEstimateMatchesExactOnSmallGraphs) {
   const Graph g = GenerateErdosRenyi(10, 0.2, 7);
   ASSERT_LE(g.num_edges(), 24);
   const InfluenceGraph ig = InfluenceGraph::Uniform(g, 0.35f);
-  const RrCollection rr = RrCollection::Generate(ig, 150'000, 3);
+  const MrrCollection rr = MrrCollection::Generate({&ig, 1}, 150'000, 3);
   for (const std::vector<VertexId>& seeds :
        {std::vector<VertexId>{0}, {1, 2}, {0, 5, 9}}) {
     const double exact = ExactSpread(ig, seeds);
-    EXPECT_NEAR(rr.EstimateSpread(seeds), exact,
+    EXPECT_NEAR(OnePieceSpreadEstimate(rr, seeds), exact,
                 0.03 * std::max(1.0, exact));
   }
 }
 
-TEST(RrCollectionTest, ExtendMatchesSingleShot) {
-  const Graph g = GenerateErdosRenyi(50, 0.05, 9);
-  const InfluenceGraph ig = InfluenceGraph::Uniform(g, 0.3f);
-  RrCollection incremental = RrCollection::Generate(ig, 100, 77);
-  incremental.Extend(ig, 150);
-  const RrCollection oneshot = RrCollection::Generate(ig, 250, 77);
-  ASSERT_EQ(incremental.theta(), oneshot.theta());
-  for (int64_t i = 0; i < incremental.theta(); ++i) {
-    EXPECT_EQ(incremental.root(i), oneshot.root(i)) << i;
-    const auto a = incremental.Set(i);
-    const auto b = oneshot.Set(i);
-    ASSERT_EQ(a.size(), b.size()) << i;
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
-  }
-}
-
-TEST(RrCollectionTest, ThreadCountDoesNotChangeResults) {
-  const Graph g = GenerateErdosRenyi(60, 0.05, 11);
-  const InfluenceGraph ig = InfluenceGraph::Uniform(g, 0.4f);
-  SetNumThreads(1);
-  const RrCollection serial = RrCollection::Generate(ig, 500, 5);
-  SetNumThreads(4);
-  const RrCollection parallel = RrCollection::Generate(ig, 500, 5);
-  SetNumThreads(0);
-  ASSERT_EQ(serial.theta(), parallel.theta());
-  for (int64_t i = 0; i < serial.theta(); ++i) {
-    const auto a = serial.Set(i);
-    const auto b = parallel.Set(i);
-    ASSERT_EQ(a.size(), b.size()) << i;
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << i;
-  }
-}
-
-TEST(RrCollectionTest, InvertedIndexConsistent) {
+TEST(MrrCollectionTest, OnePieceIndexMatchesSetsAcrossSegments) {
   const Graph g = GenerateErdosRenyi(40, 0.08, 13);
   const InfluenceGraph ig = InfluenceGraph::Uniform(g, 0.5f);
-  const RrCollection rr = RrCollection::Generate(ig, 300, 7);
-  int64_t total = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (int64_t i : rr.SamplesContaining(v)) {
-      const auto set = rr.Set(i);
-      EXPECT_TRUE(std::find(set.begin(), set.end(), v) != set.end());
-      ++total;
-    }
+  MrrCollection rr = MrrCollection::Generate({&ig, 1}, 100, 7);
+  rr.Extend({&ig, 1}, 300);
+  ASSERT_EQ(rr.num_index_segments(), 2);
+  std::vector<std::vector<int64_t>> want(g.num_vertices());
+  for (int64_t i = 0; i < rr.theta(); ++i) {
+    for (const VertexId v : rr.Set(i, 0)) want[v].push_back(i);
   }
-  EXPECT_EQ(total, rr.TotalSize());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(rr.SamplesContaining(0, v), want[v]) << v;
+  }
 }
 
 // ----------------------------------------------------------------- MRR
@@ -261,12 +240,12 @@ TEST(MrrCollectionTest, ExtendBelowThetaIsNoOp) {
   const Campaign campaign = Campaign::SampleUniformPieces(2, 4, &rng);
   const auto pieces = BuildPieceGraphs(g, probs, campaign);
   MrrCollection mc = MrrCollection::Generate(pieces, 200, 9);
-  const int64_t generated = MrrCollection::GeneratedSampleCount();
+  const int64_t members = mc.TotalSize();
   mc.Extend(pieces, 100);
   mc.Extend(pieces, 200);
   EXPECT_EQ(mc.theta(), 200);
   EXPECT_EQ(mc.num_index_segments(), 1);
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount(), generated);
+  EXPECT_EQ(mc.TotalSize(), members);
 }
 
 TEST(MrrCollectionTest, ProvenanceAccessors) {
@@ -397,18 +376,21 @@ TEST(RrSamplerTest, CollectionsMatchEdgeIdReferenceSampler) {
       ASSERT_EQ(rng.Next(), reference_rng.Next()) << "root " << root;
     }
 
-    const RrCollection rr = RrCollection::Generate(pieces[1], theta, seed);
+    // A one-piece collection (the IM baselines' RR sets) draws piece 0's
+    // stream from the same per-sample seeds.
+    const MrrCollection rr =
+        MrrCollection::Generate({&pieces[1], 1}, theta, seed);
     for (int64_t i = 0; i < theta; ++i) {
       Rng root_rng(PerSampleSeed(seed, i, -1));
       const VertexId root =
           static_cast<VertexId>(root_rng.NextBounded(g.num_vertices()));
       Rng rng(PerSampleSeed(seed, i, 0));
       const std::vector<VertexId> want = ReferenceRrSet(pieces[1], root, &rng);
-      const auto got = rr.Set(i);
+      const auto got = rr.Set(i, 0);
       ASSERT_EQ(rr.root(i), root);
       ASSERT_TRUE(
           std::equal(got.begin(), got.end(), want.begin(), want.end()))
-          << "RrCollection sample " << i;
+          << "one-piece sample " << i;
     }
   }
 }

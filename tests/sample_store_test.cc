@@ -163,13 +163,13 @@ TEST_F(SampleStoreFixture, AdoptWithoutPiecesCannotGrow) {
 
 TEST_F(SampleStoreFixture, AcquireSharesOneStoreAndOneSamplingPass) {
   const SampleStore::Options options = Options(600, 31);
-  const int64_t before = MrrCollection::GeneratedSampleCount();
+  const int64_t before = SampleStore::GeneratedSampleCount();
   auto a = SampleStore::Acquire(graph_, probs_, campaign_, options);
-  const int64_t after_first = MrrCollection::GeneratedSampleCount();
+  const int64_t after_first = SampleStore::GeneratedSampleCount();
   EXPECT_EQ(after_first - before, 2 * 600);
   auto b = SampleStore::Acquire(graph_, probs_, campaign_, options);
   EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount(), after_first);
+  EXPECT_EQ(SampleStore::GeneratedSampleCount(), after_first);
   EXPECT_TRUE(a->shared());
 }
 
@@ -195,18 +195,18 @@ TEST_F(SampleStoreFixture, AcquireDistinguishesSamplingConfigurations) {
 TEST_F(SampleStoreFixture, AcquireServesSmallerThetaFromLiveStore) {
   auto big = SampleStore::Acquire(graph_, probs_, campaign_,
                                   Options(900, 53));
-  const int64_t before = MrrCollection::GeneratedSampleCount();
+  const int64_t before = SampleStore::GeneratedSampleCount();
   auto small = SampleStore::Acquire(graph_, probs_, campaign_,
                                     Options(300, 53));
   // The 300-sample request is a prefix of the live 900-sample store:
   // served without drawing a single new sample.
   EXPECT_EQ(small.get(), big.get());
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount(), before);
+  EXPECT_EQ(SampleStore::GeneratedSampleCount(), before);
   // A larger request grows the shared store by the delta only.
   auto bigger = SampleStore::Acquire(graph_, probs_, campaign_,
                                      Options(1'200, 53));
   EXPECT_EQ(bigger.get(), big.get());
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before,
+  EXPECT_EQ(SampleStore::GeneratedSampleCount() - before,
             2 * (1'200 - 900));
 }
 
@@ -216,10 +216,10 @@ TEST_F(SampleStoreFixture, RegistryDropsDeadStores) {
   const SampleStore* old = store.get();
   EXPECT_GE(SampleStore::RegistrySize(), 1);
   store.reset();  // last owner: the registry's weak entry expires
-  const int64_t before = MrrCollection::GeneratedSampleCount();
+  const int64_t before = SampleStore::GeneratedSampleCount();
   auto fresh = SampleStore::Acquire(graph_, probs_, campaign_, options);
   // A dead store is never resurrected — the samples are drawn again.
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 2 * 300);
+  EXPECT_EQ(SampleStore::GeneratedSampleCount() - before, 2 * 300);
   (void)old;  // the address may or may not be recycled; only behavior counts
 }
 
@@ -234,9 +234,9 @@ TEST_F(SampleStoreFixture, RegistryBudgetRetainsAndEvictsLru) {
   a.reset();
   // Retained past the last handle: a same-key re-acquire is a cache
   // hit — zero new samples.
-  int64_t before = MrrCollection::GeneratedSampleCount();
+  int64_t before = SampleStore::GeneratedSampleCount();
   a = SampleStore::Acquire(graph_, probs_, campaign_, Options(400, 61));
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount(), before);
+  EXPECT_EQ(SampleStore::GeneratedSampleCount(), before);
 
   auto b = SampleStore::Acquire(graph_, probs_, campaign_,
                                 Options(400, 62));
@@ -259,13 +259,13 @@ TEST_F(SampleStoreFixture, RegistryBudgetRetainsAndEvictsLru) {
       SampleStore::GetRegistryStats();
   EXPECT_EQ(after.live_stores, 1);
   EXPECT_EQ(after.evictions, evictions_before + 1);
-  before = MrrCollection::GeneratedSampleCount();
+  before = SampleStore::GeneratedSampleCount();
   b = SampleStore::Acquire(graph_, probs_, campaign_, Options(400, 62));
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount(), before);  // survivor
+  EXPECT_EQ(SampleStore::GeneratedSampleCount(), before);  // survivor
   b.reset();
-  before = MrrCollection::GeneratedSampleCount();
+  before = SampleStore::GeneratedSampleCount();
   a = SampleStore::Acquire(graph_, probs_, campaign_, Options(400, 61));
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before,
+  EXPECT_EQ(SampleStore::GeneratedSampleCount() - before,
             2 * 400);  // the evicted store resamples from scratch
   // Acquiring a pins it, so budget enforcement must evict b (the only
   // unpinned retained store) to make room.
@@ -287,11 +287,11 @@ TEST_F(SampleStoreFixture, PinnedStoresSurviveBudgetPressure) {
   EXPECT_EQ(stats.budget_bytes, 1);
   // A pinned store is never evicted: the same key resolves to it with
   // zero new sampling even though it exceeds the budget on its own.
-  const int64_t before = MrrCollection::GeneratedSampleCount();
+  const int64_t before = SampleStore::GeneratedSampleCount();
   auto again = SampleStore::Acquire(graph_, probs_, campaign_,
                                     Options(300, 63));
   EXPECT_EQ(again.get(), pinned.get());
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount(), before);
+  EXPECT_EQ(SampleStore::GeneratedSampleCount(), before);
   again.reset();
   pinned.reset();
   // Unpinned, it immediately falls to the 1-byte budget.
@@ -305,7 +305,7 @@ TEST_F(SampleStoreFixture, ConcurrentAcquireYieldsOneStore) {
   const SampleStore::Options options = Options(500, 43);
   constexpr int kThreads = 4;
   std::vector<std::shared_ptr<SampleStore>> stores(kThreads);
-  const int64_t before = MrrCollection::GeneratedSampleCount();
+  const int64_t before = SampleStore::GeneratedSampleCount();
   {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
@@ -321,7 +321,7 @@ TEST_F(SampleStoreFixture, ConcurrentAcquireYieldsOneStore) {
     EXPECT_EQ(stores[0].get(), stores[t].get());
   }
   // Exactly one sampling pass despite the racing acquires.
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 2 * 500);
+  EXPECT_EQ(SampleStore::GeneratedSampleCount() - before, 2 * 500);
 }
 
 TEST_F(SampleStoreFixture, ConcurrentGrowSolveAcrossSharingContexts) {
@@ -457,7 +457,7 @@ TEST_F(RecoveryFixture, RecoveredSnapshotResumesWithoutResampling) {
   ASSERT_TRUE(SampleStore::OfferRecoveredSnapshot("recovery/a", saved.mrr,
                                                   saved.holdout)
                   .ok());
-  const int64_t before = MrrCollection::GeneratedSampleCount();
+  const int64_t before = SampleStore::GeneratedSampleCount();
   const int64_t recovered_before =
       SampleStore::GetRegistryStats().recovered_stores;
   auto recovered =
@@ -465,7 +465,7 @@ TEST_F(RecoveryFixture, RecoveredSnapshotResumesWithoutResampling) {
   ASSERT_NE(recovered, nullptr);
   // The tentpole invariant: a same-configuration re-acquire is served
   // entirely from the parked snapshot — zero regenerated samples.
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount(), before);
+  EXPECT_EQ(SampleStore::GeneratedSampleCount(), before);
   EXPECT_EQ(recovered->theta(), 500);
   EXPECT_EQ(SampleStore::GetRegistryStats().recovered_stores,
             recovered_before + 1);
@@ -493,12 +493,12 @@ TEST_F(RecoveryFixture, SmallerRecoveredSnapshotGrowsOnlyTheDelta) {
                   .ok());
   // Re-acquire at a larger theta: recovery seeds the first 300 samples
   // and only the extension is drawn (2x: in-sample + holdout).
-  const int64_t before = MrrCollection::GeneratedSampleCount();
+  const int64_t before = SampleStore::GeneratedSampleCount();
   auto recovered = SampleStore::Acquire(
       graph_, probs_, campaign_, KeyedOptions(900, 73, "recovery/delta"));
   ASSERT_NE(recovered, nullptr);
   EXPECT_EQ(recovered->theta(), 900);
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before,
+  EXPECT_EQ(SampleStore::GeneratedSampleCount() - before,
             2 * (900 - 300));
 }
 
@@ -515,12 +515,12 @@ TEST_F(RecoveryFixture, MismatchedProvenanceIsIgnoredAndResampled) {
   // Same key, different sampling seed: the snapshot's provenance no
   // longer matches, so it must NOT be adopted — correctness beats
   // recovery, and the store resamples from scratch.
-  const int64_t before = MrrCollection::GeneratedSampleCount();
+  const int64_t before = SampleStore::GeneratedSampleCount();
   auto fresh = SampleStore::Acquire(
       graph_, probs_, campaign_,
       KeyedOptions(400, 80, "recovery/mismatch"));
   ASSERT_NE(fresh, nullptr);
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 2 * 400);
+  EXPECT_EQ(SampleStore::GeneratedSampleCount() - before, 2 * 400);
 }
 
 TEST_F(RecoveryFixture, OfferValidatesItsArguments) {
@@ -543,9 +543,9 @@ TEST_F(RecoveryFixture, ClearDropsParkedSnapshots) {
                   "recovery/cleared", saved.mrr, saved.holdout)
                   .ok());
   SampleStore::ClearRecoveredSnapshots();
-  const int64_t before = MrrCollection::GeneratedSampleCount();
+  const int64_t before = SampleStore::GeneratedSampleCount();
   auto fresh = SampleStore::Acquire(graph_, probs_, campaign_, options);
-  EXPECT_EQ(MrrCollection::GeneratedSampleCount() - before, 2 * 200);
+  EXPECT_EQ(SampleStore::GeneratedSampleCount() - before, 2 * 200);
 }
 
 }  // namespace

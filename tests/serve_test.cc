@@ -204,13 +204,14 @@ JsonValue Parse(const std::string& line) {
 std::string TinyRequest(const std::string& id, int dataset_seed,
                         const std::string& budgets,
                         const std::string& extra_plan = "",
-                        int64_t theta = 1'500) {
+                        int64_t theta = 1'500,
+                        const std::string& method = "bab") {
   return std::string("{\"id\":\"") + id +
          "\",\"dataset\":{\"n\":250,\"seed\":" +
          std::to_string(dataset_seed) +
          "},\"sampling\":{\"theta\":" + std::to_string(theta) +
-         "},\"plan\":{\"method\":\"bab\",\"budgets\":" + budgets +
-         extra_plan + "}}";
+         "},\"plan\":{\"method\":\"" + method + "\",\"budgets\":" +
+         budgets + extra_plan + "}}";
 }
 
 class ServeFixture : public ::testing::Test {
@@ -271,6 +272,18 @@ TEST_F(ServeFixture, AnswersPlanRequestsAndCachesContexts) {
             results.at(0).Find("utility")->double_value());
   EXPECT_EQ(second.Find("results")->at(0).Find("seed_sets")->Dump(-1),
             results.at(0).Find("seed_sets")->Dump(-1));
+
+  // The IM baselines draw their own RR sets on every solve; those are
+  // not store samples, so warm im and tim requests report none.
+  for (const std::string method : {"im", "tim"}) {
+    const JsonValue baseline =
+        Roundtrip(TinyRequest(method, 1, "[3]", "", 1'500, method));
+    ASSERT_TRUE(baseline.Find("ok")->bool_value()) << baseline.Dump(-1);
+    EXPECT_TRUE(baseline.Find("serve")->Find("cache_hit")->bool_value());
+    EXPECT_EQ(baseline.Find("serve")->Find("samples_generated")->int_value(),
+              0)
+        << method;
+  }
 
   // A larger theta reuses the context and samples only the delta.
   const JsonValue grown =
@@ -517,7 +530,9 @@ TEST_F(ServeFixture, ConcurrentClientsWithMixedContexts) {
   for (int i = 0; i < kClients; ++i) {
     const JsonValue r = Parse(responses[i]);
     EXPECT_TRUE(r.Find("ok")->bool_value()) << responses[i];
-    EXPECT_EQ(r.Find("id")->string_value(), "c" + std::to_string(i));
+    std::string id = "c";
+    id += std::to_string(i);
+    EXPECT_EQ(r.Find("id")->string_value(), id);
     EXPECT_GT(
         r.Find("results")->at(0).Find("utility")->double_value(), 0.0);
   }
